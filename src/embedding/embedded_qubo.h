@@ -203,7 +203,8 @@ class EmbeddedQubo {
 
   /// Total read-out: majority vote per chain (ties resolved toward 0),
   /// followed by one greedy-descent pass on the logical energy — the
-  /// standard post-processing for broken chains.
+  /// standard post-processing for broken chains. Const and thread-safe:
+  /// the read-out calls it concurrently from executor workers.
   std::vector<uint8_t> Unembed(const std::vector<uint8_t>& physical_x) const;
 
   /// Lifts a logical assignment to the consistent physical assignment.
@@ -211,8 +212,13 @@ class EmbeddedQubo {
       const std::vector<uint8_t>& logical_x) const;
 
  private:
+  // Shared by Create and ReweightFrom. Finalizing the logical copy here
+  // makes `Unembed` (which evaluates it via FlipDelta) a pure read, so
+  // concurrent `Unembed` calls on one instance are safe.
   EmbeddedQubo(qubo::QuboProblem logical, qubo::QuboProblem physical)
-      : logical_(std::move(logical)), physical_(std::move(physical)) {}
+      : logical_(std::move(logical)), physical_(std::move(physical)) {
+    logical_.Finalize();
+  }
 
   // The logical problem is copied so unembedding post-processing cannot
   // dangle if the caller's problem goes away.

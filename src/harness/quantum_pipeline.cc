@@ -1,8 +1,10 @@
 #include "harness/quantum_pipeline.h"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
+#include "util/executor.h"
 #include "util/fault.h"
 #include "util/stopwatch.h"
 
@@ -19,6 +21,15 @@ void CloseSpanWithError(obs::SolveTrace* trace, double wall_ms) {
   trace->Tag("status", "error");
   trace->Close(wall_ms);
 }
+
+/// One read-out chunk's earliest strictly best read, plus the chunk's busy
+/// time in each read-out phase (accumulated only when tracing).
+struct ReadOutChunk {
+  double best_cost = std::numeric_limits<double>::infinity();
+  mqo::MqoSolution best_solution{0};
+  double unembed_ms = 0.0;
+  double merge_ms = 0.0;
+};
 
 }  // namespace
 
@@ -119,68 +130,117 @@ Result<QuantumMqoResult> SolveQuantumMqo(const mqo::MqoProblem& problem,
     trace->Close(device_result.wall_clock_ms);
   }
 
-  // Read-out: unembed each read in order, repair to a valid selection,
-  // track the best cost on the modeled device-time axis. Unembed and merge
-  // interleave per read, so their spans are recorded as closed siblings
-  // whose wall durations accumulate across the loop (only when tracing —
-  // the untraced hot path pays one branch per read).
+  // Read-out: each read is unpacked, unembedded, repaired to a valid
+  // selection, descended and costed on its own, so the reads fan out over
+  // the device's executor in static contiguous chunks (inline at one
+  // thread). A read writes only its per-index slots; each chunk keeps its
+  // earliest strictly best solution. A serial fold in read order then
+  // rebuilds the first-read cost, the best-cost staircase on the modeled
+  // device-time axis and the fractions exactly as one in-order pass would,
+  // so results are bit-identical at every thread count.
   const bool tracing = trace != nullptr;
   int unembed_span = -1;
   int merge_span = -1;
-  double unembed_wall_ms = 0.0;
-  double merge_wall_ms = 0.0;
   if (tracing) {
     unembed_span = trace->Open("pipeline.unembed");
     trace->Close(0.0);
     merge_span = trace->Open("pipeline.merge");
     trace->Close(0.0);
   }
+  Stopwatch readout_wall;
+  const int total_reads = device_result.raw_reads.size();
+  std::vector<double> read_cost(static_cast<size_t>(total_reads));
+  std::vector<double> read_broken(static_cast<size_t>(total_reads));
+  std::vector<uint8_t> read_valid(static_cast<size_t>(total_reads));
+  // Executor::Run splits [0, total_reads) into this many chunks.
+  const int num_chunks = std::max(
+      1, std::min(util::ResolveNumThreads(device_options.num_threads),
+                  total_reads));
+  std::vector<ReadOutChunk> chunks(static_cast<size_t>(num_chunks));
+  util::Executor::Run(
+      device_options.executor, total_reads, device_options.num_threads,
+      [&](int begin, int end, int chunk_index) {
+        ReadOutChunk& chunk = chunks[static_cast<size_t>(chunk_index)];
+        // Reads come back bit-packed; unpack each into one reused buffer.
+        std::vector<uint8_t> physical_read;
+        Stopwatch step;
+        for (int i = begin; i < end; ++i) {
+          if (tracing) step.Restart();
+          device_result.raw_reads[i].CopyBytesTo(&physical_read);
+          read_broken[static_cast<size_t>(i)] =
+              physical.BrokenChainFraction(physical_read);
+          std::vector<uint8_t> logical_read = physical.Unembed(physical_read);
+          read_valid[static_cast<size_t>(i)] =
+              logical.IsValidAssignment(logical_read) ? 1 : 0;
+          mqo::MqoSolution solution = logical.RepairedSolution(logical_read);
+          if (tracing) {
+            chunk.unembed_ms += step.ElapsedMillis();
+            step.Restart();
+          }
+          if (options.postprocess_swap_descent) {
+            mqo::SwapDescent(problem, &solution);
+          }
+          double cost = mqo::EvaluateCost(problem, solution);
+          read_cost[static_cast<size_t>(i)] = cost;
+          if (cost < chunk.best_cost) {
+            chunk.best_cost = cost;
+            chunk.best_solution = std::move(solution);
+          }
+          if (tracing) chunk.merge_ms += step.ElapsedMillis();
+        }
+      });
+
+  // The earliest read with the lowest cost: chunks are in read order, so
+  // the first chunk whose best is strictly lower wins.
   double best_cost = std::numeric_limits<double>::infinity();
-  double broken_chain_sum = 0.0;
-  int valid_reads = 0;
-  int read_index = 0;
-  // Reads come back bit-packed; unpack each into one reused byte buffer.
-  std::vector<uint8_t> physical_read;
-  Stopwatch step;
-  for (anneal::AssignmentRef packed_read : device_result.raw_reads) {
-    if (tracing) step.Restart();
-    packed_read.CopyBytesTo(&physical_read);
-    ++read_index;
-    broken_chain_sum += physical.BrokenChainFraction(physical_read);
-    std::vector<uint8_t> logical_read = physical.Unembed(physical_read);
-    if (logical.IsValidAssignment(logical_read)) ++valid_reads;
-    mqo::MqoSolution solution = logical.RepairedSolution(logical_read);
-    if (tracing) {
-      unembed_wall_ms += step.ElapsedMillis();
-      step.Restart();
+  for (ReadOutChunk& chunk : chunks) {
+    if (chunk.best_cost < best_cost) {
+      best_cost = chunk.best_cost;
+      result.best_solution = std::move(chunk.best_solution);
     }
-    if (options.postprocess_swap_descent) {
-      mqo::SwapDescent(problem, &solution);
-    }
-    double cost = mqo::EvaluateCost(problem, solution);
-    if (read_index == 1) result.first_read_cost = cost;
-    if (cost < best_cost) {
-      best_cost = cost;
-      result.best_solution = solution;
-      result.cost_vs_device_time.Record(
-          static_cast<double>(read_index) * per_read_us / 1000.0, cost);
-    }
-    if (tracing) merge_wall_ms += step.ElapsedMillis();
   }
   result.best_cost = best_cost;
-  int total_reads = device_result.raw_reads.size();
+  double running_best = std::numeric_limits<double>::infinity();
+  double broken_chain_sum = 0.0;
+  int valid_reads = 0;
+  for (int i = 0; i < total_reads; ++i) {
+    const double cost = read_cost[static_cast<size_t>(i)];
+    broken_chain_sum += read_broken[static_cast<size_t>(i)];
+    valid_reads += read_valid[static_cast<size_t>(i)];
+    if (i == 0) result.first_read_cost = cost;
+    if (cost < running_best) {
+      running_best = cost;
+      result.cost_vs_device_time.Record(
+          static_cast<double>(i + 1) * per_read_us / 1000.0, cost);
+    }
+  }
   if (total_reads > 0) {
     result.broken_chain_read_fraction = broken_chain_sum / total_reads;
     result.valid_read_fraction =
         static_cast<double>(valid_reads) / total_reads;
   }
   if (tracing) {
+    // The two spans share the read-out's elapsed wall time in proportion
+    // to the chunks' summed busy time in each phase, so they add up to the
+    // wall time rather than to the busy time of all threads.
+    double unembed_busy_ms = 0.0;
+    double merge_busy_ms = 0.0;
+    for (const ReadOutChunk& chunk : chunks) {
+      unembed_busy_ms += chunk.unembed_ms;
+      merge_busy_ms += chunk.merge_ms;
+    }
+    const double busy_ms = unembed_busy_ms + merge_busy_ms;
+    const double wall_ms = readout_wall.ElapsedMillis();
+    const double unembed_wall_ms =
+        busy_ms > 0.0 ? wall_ms * (unembed_busy_ms / busy_ms) : 0.0;
     trace->SetWallAt(unembed_span, unembed_wall_ms);
     trace->TagAt(unembed_span, "reads", static_cast<int64_t>(total_reads));
-    trace->SetWallAt(merge_span, merge_wall_ms);
+    trace->TagAt(unembed_span, "threads", static_cast<int64_t>(num_chunks));
+    trace->SetWallAt(merge_span, wall_ms - unembed_wall_ms);
     trace->TagAt(merge_span, "swap_descent",
                  static_cast<int64_t>(options.postprocess_swap_descent ? 1
                                                                        : 0));
+    trace->TagAt(merge_span, "threads", static_cast<int64_t>(num_chunks));
   }
   return result;
 }

@@ -40,9 +40,11 @@ struct QuantumMqoOptions {
   anneal::DWaveOptions device;
   /// Apply greedy plan-swap descent to each read during the classical
   /// read-out (the analogue of D-Wave SAPI's "optimization" post-processing
-  /// mode, which runs server-side pipelined with annealing). Costs ~1 ms of
-  /// classical time per read, which is NOT charged to the modeled device
-  /// time — the same accounting the paper uses for its read-outs.
+  /// mode, which runs server-side pipelined with annealing). The descent
+  /// rescans only the queries each swap touches, and the read-out runs on
+  /// `device.num_threads` threads of `device.executor`; its classical time
+  /// is NOT charged to the modeled device time — the same accounting the
+  /// paper uses for its read-outs.
   bool postprocess_swap_descent = true;
   /// Fault injection for the whole solve path (never owned; null = no
   /// faults). Site "pipeline.solve" (key: `fault_attempt`) fails the call
@@ -65,7 +67,11 @@ struct QuantumMqoOptions {
   /// `pipeline.anneal` with one `anneal.gauge` child per programming
   /// cycle, `pipeline.unembed`, and `pipeline.merge`. Modeled durations
   /// come from the device-time model (deterministic); wall durations are
-  /// measured and only meaningful to humans.
+  /// measured and only meaningful to humans. The read-out runs its two
+  /// phases interleaved per read across threads, so the unembed and merge
+  /// walls split the read-out's elapsed wall time by each phase's share of
+  /// the summed busy time (tag `threads` = read-out chunks): together they
+  /// equal the elapsed time, never the CPU time of all threads.
   obs::SolveTrace* trace = nullptr;
 };
 

@@ -56,7 +56,33 @@ double EvaluateCost(const MqoProblem& problem, const MqoSolution& solution) {
 int SwapDescent(const MqoProblem& problem, MqoSolution* solution) {
   IncrementalCostEvaluator eval(problem);
   eval.Reset(*solution);
+  // delta[p] caches eval.SwapDelta(query_of(p), p). SwapDelta(q, p) reads
+  // only selected(q) and the chosen flags of the savings neighbours of p
+  // and of selected(q), and a swap old -> new in query q0 changes only
+  // selected(q0) and the flags of old and new. So the stale entries are the
+  // plans of q0 and of every query owning a savings neighbour of old or
+  // new; every other entry equals (bit for bit) what a fresh call returns.
+  std::vector<double> delta(static_cast<size_t>(problem.num_plans()), 0.0);
+  auto refresh = [&](QueryId q) {
+    for (int k = 0; k < problem.num_plans_of(q); ++k) {
+      PlanId p = problem.first_plan(q) + k;
+      delta[static_cast<size_t>(p)] = eval.SwapDelta(q, p);
+    }
+  };
+  for (QueryId q = 0; q < problem.num_queries(); ++q) refresh(q);
+  // refreshed_at[q] == swaps once q was refreshed after the latest swap.
+  std::vector<int> refreshed_at(static_cast<size_t>(problem.num_queries()), 0);
   int swaps = 0;
+  auto refresh_once = [&](QueryId q) {
+    if (refreshed_at[static_cast<size_t>(q)] == swaps) return;
+    refreshed_at[static_cast<size_t>(q)] = swaps;
+    refresh(q);
+  };
+  auto refresh_neighbours_of = [&](PlanId plan) {
+    for (const auto& link : problem.savings_of(plan)) {
+      refresh_once(problem.query_of(link.first));
+    }
+  };
   while (true) {
     QueryId best_query = -1;
     PlanId best_plan = -1;
@@ -65,17 +91,20 @@ int SwapDescent(const MqoProblem& problem, MqoSolution* solution) {
       for (int k = 0; k < problem.num_plans_of(q); ++k) {
         PlanId p = problem.first_plan(q) + k;
         if (p == eval.selected(q)) continue;
-        double delta = eval.SwapDelta(q, p);
-        if (delta < best_delta) {
-          best_delta = delta;
+        if (delta[static_cast<size_t>(p)] < best_delta) {
+          best_delta = delta[static_cast<size_t>(p)];
           best_query = q;
           best_plan = p;
         }
       }
     }
     if (best_query < 0) break;
+    PlanId old_plan = eval.selected(best_query);
     eval.ApplySwap(best_query, best_plan);
     ++swaps;
+    refresh_once(best_query);
+    if (old_plan != MqoSolution::kUnselected) refresh_neighbours_of(old_plan);
+    refresh_neighbours_of(best_plan);
   }
   if (swaps > 0) *solution = eval.ToSolution();
   return swaps;

@@ -28,7 +28,9 @@
 ///   pipeline.anneal   device/SQA sampling; children: anneal.gauge
 ///   anneal.gauge      one per gauge transform; tags: reads, dropped
 ///   pipeline.unembed  chain unembedding + repair over all reads
-///   pipeline.merge    per-read evaluation, swap descent, SampleSet merge
+///   pipeline.merge    per-read swap descent and evaluation; with unembed
+///                     it splits the read-out's elapsed wall time (tag
+///                     threads = read-out chunks)
 
 #include <cstdint>
 #include <string>

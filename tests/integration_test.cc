@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
 #include "chimera/topology.h"
 #include "harness/paper_workload.h"
 #include "harness/quantum_pipeline.h"
 #include "mqo/brute_force.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace qmqo {
@@ -159,6 +164,84 @@ TEST(PipelineTest, FirstReadQualityIsNearOptimalOnPaperLikeChip) {
   ASSERT_TRUE(result.ok());
   EXPECT_LT(result->first_read_cost,
             1.15 * result->best_cost + 1e-9);
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// The read-out fans reads out over the device executor; every output must
+// be bit-identical to the single-thread (inline) read-out, with and without
+// broken chains and compacted (dropped) reads.
+TEST(ReadOutTest, BitIdenticalAcrossThreadCounts) {
+  // The 3-plan class embeds with multi-qubit chains, so chain-break
+  // faults actually break chains.
+  ChimeraGraph graph(4, 4, 4);
+  PaperWorkloadOptions workload;
+  workload.plans_per_query = 3;
+  Rng rng(21);
+  auto instance = GeneratePaperInstance(graph, workload, &rng);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+
+  for (bool with_faults : {false, true}) {
+    util::FaultInjector faults(99);
+    util::FaultSpec chain_break;
+    chain_break.probability = 0.6;
+    chain_break.intensity = 4;
+    faults.Arm("device.chain_break", chain_break);
+    util::FaultSpec dropout;
+    dropout.probability = 0.2;
+    faults.Arm("device.read_dropout", dropout);
+
+    auto run = [&](int threads) {
+      QuantumMqoOptions options;
+      options.device.num_reads = 60;
+      options.device.num_gauges = 3;
+      options.device.sa_sweeps = 32;
+      options.device.seed = 31;
+      options.device.num_threads = threads;
+      if (with_faults) options.faults = &faults;
+      auto result = SolveQuantumMqo(instance->problem, instance->embedding,
+                                    graph, options);
+      EXPECT_TRUE(result.ok()) << result.status().ToString();
+      return result.ok() ? std::move(result).value()
+                         : harness::QuantumMqoResult();
+    };
+
+    const harness::QuantumMqoResult reference = run(1);
+    if (with_faults) {
+      EXPECT_GT(reference.dropped_reads, 0);
+      EXPECT_GT(reference.broken_chain_read_fraction, 0.0);
+    } else {
+      EXPECT_EQ(reference.dropped_reads, 0);
+    }
+    EXPECT_TRUE(
+        mqo::ValidateSolution(instance->problem, reference.best_solution).ok());
+    EXPECT_EQ(Bits(mqo::EvaluateCost(instance->problem,
+                                     reference.best_solution)),
+              Bits(reference.best_cost));
+    for (int threads : {2, 4}) {
+      SCOPED_TRACE(testing::Message() << "faults " << with_faults
+                                      << ", threads " << threads);
+      const harness::QuantumMqoResult other = run(threads);
+      EXPECT_TRUE(other.best_solution == reference.best_solution);
+      EXPECT_EQ(Bits(other.best_cost), Bits(reference.best_cost));
+      EXPECT_EQ(Bits(other.first_read_cost), Bits(reference.first_read_cost));
+      EXPECT_EQ(Bits(other.broken_chain_read_fraction),
+                Bits(reference.broken_chain_read_fraction));
+      EXPECT_EQ(Bits(other.valid_read_fraction),
+                Bits(reference.valid_read_fraction));
+      const auto& points = other.cost_vs_device_time.points();
+      const auto& expected = reference.cost_vs_device_time.points();
+      ASSERT_EQ(points.size(), expected.size());
+      for (size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(Bits(points[i].time_ms), Bits(expected[i].time_ms)) << i;
+        EXPECT_EQ(Bits(points[i].cost), Bits(expected[i].cost)) << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <ostream>
+#include <vector>
+
 #include "mqo/brute_force.h"
 #include "mqo/clustering.h"
 #include "mqo/generator.h"
@@ -195,6 +200,139 @@ TEST_P(IncrementalEvalProperty, SwapDeltaMatchesFullReevaluation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalEvalProperty,
                          ::testing::Range(0, 12));
+
+// --------------------------------------------------------------------
+// Swap descent: the cached-delta descent against a full-rescan reference.
+// --------------------------------------------------------------------
+
+/// The full-rescan steepest descent SwapDescent must reproduce: every step
+/// re-evaluates every plan and applies the first strictly best swap.
+int ReferenceSwapDescent(const MqoProblem& problem, MqoSolution* solution) {
+  IncrementalCostEvaluator eval(problem);
+  eval.Reset(*solution);
+  int swaps = 0;
+  while (true) {
+    QueryId best_query = -1;
+    PlanId best_plan = -1;
+    double best_delta = -1e-12;
+    for (QueryId q = 0; q < problem.num_queries(); ++q) {
+      for (int k = 0; k < problem.num_plans_of(q); ++k) {
+        PlanId p = problem.first_plan(q) + k;
+        if (p == eval.selected(q)) continue;
+        double delta = eval.SwapDelta(q, p);
+        if (delta < best_delta) {
+          best_delta = delta;
+          best_query = q;
+          best_plan = p;
+        }
+      }
+    }
+    if (best_query < 0) break;
+    eval.ApplySwap(best_query, best_plan);
+    ++swaps;
+  }
+  if (swaps > 0) *solution = eval.ToSolution();
+  return swaps;
+}
+
+uint64_t CostBits(const MqoProblem& problem, const MqoSolution& solution) {
+  double cost = EvaluateCost(problem, solution);
+  uint64_t bits;
+  std::memcpy(&bits, &cost, sizeof(bits));
+  return bits;
+}
+
+struct DescentCase {
+  uint64_t seed;
+  int plans_per_query;
+  double sharing_probability;  ///< 0 = no savings at all
+  bool integral;               ///< small integer weights: many tied deltas
+  double unselected_share;     ///< share of queries left kUnselected
+};
+
+void PrintTo(const DescentCase& c, std::ostream* out) {
+  *out << "seed " << c.seed << ", " << c.plans_per_query << " plans, sharing "
+       << c.sharing_probability << (c.integral ? ", integral" : "")
+       << ", unselected " << c.unselected_share;
+}
+
+class SwapDescentProperty : public ::testing::TestWithParam<DescentCase> {};
+
+TEST_P(SwapDescentProperty, MatchesFullRescanReference) {
+  const DescentCase& param = GetParam();
+  Rng rng(param.seed);
+  int total_swaps = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    MqoProblem problem;
+    const int num_queries = rng.UniformInt(3, 40);
+    for (int q = 0; q < num_queries; ++q) {
+      std::vector<double> costs;
+      for (int k = 0; k < param.plans_per_query; ++k) {
+        costs.push_back(param.integral ? rng.UniformInt(1, 9)
+                                       : rng.UniformReal(1.0, 10.0));
+      }
+      problem.AddQuery(costs);
+    }
+    for (PlanId a = 0; a < problem.num_plans(); ++a) {
+      for (PlanId b = a + 1; b < problem.num_plans(); ++b) {
+        if (problem.query_of(a) == problem.query_of(b)) continue;
+        if (!rng.Bernoulli(param.sharing_probability)) continue;
+        ASSERT_TRUE(problem
+                        .AddSaving(a, b,
+                                   param.integral ? rng.UniformInt(1, 6)
+                                                  : rng.UniformReal(0.1, 6.0))
+                        .ok());
+      }
+    }
+    MqoSolution start(num_queries);
+    for (QueryId q = 0; q < num_queries; ++q) {
+      if (rng.Bernoulli(param.unselected_share)) continue;
+      start.Select(q, problem.first_plan(q) +
+                          rng.UniformInt(0, param.plans_per_query - 1));
+    }
+
+    MqoSolution expected = start;
+    const int expected_swaps = ReferenceSwapDescent(problem, &expected);
+    MqoSolution actual = start;
+    const int swaps = SwapDescent(problem, &actual);
+    ASSERT_EQ(swaps, expected_swaps) << "trial " << trial;
+    ASSERT_TRUE(actual == expected) << "trial " << trial;
+    EXPECT_EQ(CostBits(problem, actual), CostBits(problem, expected))
+        << "trial " << trial;
+    total_swaps += swaps;
+
+    // A descended solution is locally optimal: no swap, no change.
+    MqoSolution again = actual;
+    EXPECT_EQ(SwapDescent(problem, &again), 0) << "trial " << trial;
+    EXPECT_TRUE(again == actual) << "trial " << trial;
+  }
+  EXPECT_GT(total_swaps, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Instances, SwapDescentProperty,
+    ::testing::Values(DescentCase{1, 2, 0.3, false, 0.0},
+                      DescentCase{2, 3, 0.3, false, 0.0},
+                      DescentCase{3, 5, 0.2, false, 0.0},
+                      DescentCase{4, 2, 0.0, false, 0.0},
+                      DescentCase{5, 3, 0.0, true, 0.3},
+                      DescentCase{6, 2, 0.5, true, 0.0},
+                      DescentCase{7, 3, 0.4, true, 0.25},
+                      DescentCase{8, 5, 0.3, false, 0.5},
+                      DescentCase{9, 2, 0.3, true, 0.8}));
+
+TEST(SwapDescentTest, PaperExampleReachesTheSharedOptimum) {
+  MqoProblem problem = PaperExample();
+  MqoSolution solution(2);
+  solution.Select(0, 1);
+  solution.Select(1, 3);
+  // From cost 4 + 1 = 5, switching query 1 to plan 2 (delta -3) beats
+  // switching query 0 to plan 0 (delta -2) and unlocks the saving of 5.
+  EXPECT_EQ(SwapDescent(problem, &solution), 1);
+  EXPECT_EQ(solution.selected(0), 1);
+  EXPECT_EQ(solution.selected(1), 2);
+  EXPECT_DOUBLE_EQ(EvaluateCost(problem, solution), 2.0);
+}
 
 // --------------------------------------------------------------------
 // Brute force

@@ -1,18 +1,24 @@
 // Unit tests of the observability layer itself: sharded counters, gauge
 // bit round-trips, histogram bucket boundaries (inclusive `le`), the
-// Prometheus text exposition (golden), JSON exposition, collectors, and
-// span-tree construction/serialization.
+// Prometheus text exposition (golden), JSON exposition, collectors,
+// span-tree construction/serialization, and the pipeline's read-out spans.
 
 #include <gtest/gtest.h>
 
 #include <clocale>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "chimera/topology.h"
+#include "harness/paper_workload.h"
+#include "harness/quantum_pipeline.h"
+#include "harness/resilient_solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/rng.h"
 
 namespace qmqo {
 namespace obs {
@@ -334,6 +340,58 @@ TEST(TraceTest, SpanScopeRecordsOnDestruction) {
   EXPECT_EQ(trace.spans()[0].name, "scoped");
   EXPECT_DOUBLE_EQ(trace.spans()[0].modeled_ms, 2.0);
   EXPECT_GE(trace.spans()[0].wall_ms, 0.0);
+}
+
+// The read-out runs unembed and merge interleaved across threads; its two
+// spans must split the elapsed wall time, never sum thread busy time, so
+// they fit inside the enclosing attempt and per-layer sums stay additive.
+TEST(TraceTest, ReadOutWallsFitInsideTheAttempt) {
+  chimera::ChimeraGraph graph(3, 3, 4);
+  harness::PaperWorkloadOptions workload;
+  workload.plans_per_query = 2;
+  Rng rng(5);
+  auto instance = harness::GeneratePaperInstance(graph, workload, &rng);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    SolveTrace trace;
+    harness::QuantumMqoOptions options;
+    options.device.num_reads = 80;
+    options.device.num_gauges = 2;
+    options.device.sa_sweeps = 32;
+    options.device.num_threads = threads;
+    options.trace = &trace;
+    harness::SolveReport report =
+        harness::ResilientSolver(harness::SolvePolicy())
+            .Solve(instance->problem, instance->embedding, graph, options);
+    ASSERT_TRUE(report.ok) << report.FailureChain();
+
+    const std::vector<Span>& spans = trace.spans();
+    int attempts_with_readout = 0;
+    for (size_t a = 0; a < spans.size(); ++a) {
+      if (spans[a].name != "solve.attempt") continue;
+      double readout_wall_ms = 0.0;
+      int readout_spans = 0;
+      for (const Span& span : spans) {
+        if (span.parent != static_cast<int>(a)) continue;
+        if (span.name != "pipeline.unembed" && span.name != "pipeline.merge") {
+          continue;
+        }
+        ++readout_spans;
+        readout_wall_ms += span.wall_ms;
+        std::string threads_tag;
+        for (const auto& [key, value] : span.tags) {
+          if (key == "threads") threads_tag = value;
+        }
+        EXPECT_EQ(threads_tag, std::to_string(threads)) << span.name;
+      }
+      if (readout_spans == 0) continue;
+      EXPECT_EQ(readout_spans, 2);
+      EXPECT_LE(readout_wall_ms, spans[a].wall_ms);
+      ++attempts_with_readout;
+    }
+    EXPECT_GT(attempts_with_readout, 0);
+  }
 }
 
 TEST(TracerTest, DumpsOneJsonLinePerTrace) {
