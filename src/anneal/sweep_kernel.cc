@@ -100,9 +100,9 @@ void CheckerboardSweeps(const qubo::IsingProblem& ising, const SweepPlan& plan,
   double* u = uniforms.data();
   uint8_t* a = accept.data();
   // Bulk randomness comes from a xoshiro256++ stream seeded once per read
-  // from the read's Rng — the mt19937_64 draw itself (~12 ns) would
-  // otherwise dominate the sweep (the ROADMAP's "vectorized xoshiro"
-  // lever). One parent draw keeps determinism hanging off the seed.
+  // from the read's Rng — a full `Rng::UniformReal` (~3 ns) costs a few
+  // times a xoshiro draw and would dominate the sweep. One parent draw
+  // keeps determinism hanging off the seed.
   FastRng fast_rng(rng->Next());
 
   auto flip = [&](qubo::VarId q) {

@@ -559,7 +559,7 @@ int SolveService::ProcessRound() {
       outcome.faults_observed = report.faults_observed;
       outcome.detail = report.FailureChain();
       if (slot.request.workload != nullptr) {
-        outcome.workload = slot.request.workload;
+        outcome.workload_kind = slot.request.workload->kind();
         if (report.ok) {
           // Decode is a pure function of the winning assignment (repair
           // included), so running it on the serial commit path keeps the

@@ -55,6 +55,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -150,12 +151,14 @@ struct SolveOutcome {
   int64_t faults_observed = 0;
   /// Human-readable failure chain of the solve (empty when unscheduled).
   std::string detail;
-  /// Workload requests only: the formulated problem (null for MQO), the
+  /// Workload requests only: the request's kind (empty for MQO), the
   /// decoded domain solution (clique members / cut sides / colors — always
   /// repaired to the domain by `Workload::Decode`), and its optimality gap
   /// against the generator-planted optimum. `cost` carries the raw QUBO
-  /// energy of the winning assignment.
-  std::shared_ptr<const workloads::Workload> workload;
+  /// energy of the winning assignment. The formulated workload itself is
+  /// not retained, so settled outcomes stay small; a caller that wants to
+  /// validate the solution keeps its own instance.
+  std::optional<workloads::WorkloadKind> workload_kind;
   workloads::WorkloadSolution workload_solution;
   double workload_gap = 0.0;
 };

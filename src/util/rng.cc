@@ -4,6 +4,45 @@
 
 namespace qmqo {
 
+namespace {
+
+constexpr size_t kShift = 156;  // MT19937-64's middle word offset m.
+constexpr uint64_t kMatrixA = 0xb5026f5aa96619e9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kLowerMask = ~kUpperMask;
+
+/// One twist step: the upper bit of `a` joined to the lower 31 of `b`,
+/// shifted and conditionally XORed with the matrix — branch-free.
+inline uint64_t TwistMix(uint64_t a, uint64_t b) {
+  const uint64_t y = (a & kUpperMask) | (b & kLowerMask);
+  return (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+}  // namespace
+
+Mt19937_64::Mt19937_64(uint64_t seed) : index_(kStateWords) {
+  state_[0] = seed;
+  for (size_t i = 1; i < kStateWords; ++i) {
+    const uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void Mt19937_64::Twist() {
+  constexpr size_t n = kStateWords;
+  // Split where k + m wraps past the end, as in the reference algorithm.
+  // Neither of the first two loops carries a dependence between
+  // iterations, so both vectorize.
+  for (size_t k = 0; k < n - kShift; ++k) {
+    state_[k] = state_[k + kShift] ^ TwistMix(state_[k], state_[k + 1]);
+  }
+  for (size_t k = n - kShift; k < n - 1; ++k) {
+    state_[k] = state_[k + kShift - n] ^ TwistMix(state_[k], state_[k + 1]);
+  }
+  state_[n - 1] = state_[kShift - 1] ^ TwistMix(state_[n - 1], state_[0]);
+  index_ = 0;
+}
+
 uint64_t Rng::Scramble(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

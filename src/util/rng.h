@@ -10,13 +10,63 @@
 /// streams, which keeps parallel or per-restart randomness decoupled from the
 /// consumption pattern of the parent stream.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 namespace qmqo {
 
-/// Seedable pseudo-random number generator (xoshiro-quality via mt19937_64).
+/// 64-bit Mersenne Twister (Matsumoto & Nishimura). Emits exactly the
+/// stream of the standard library's MT19937-64 engine for the same seed —
+/// same seeding recurrence, twist, and tempering — but the twist is
+/// branch-free so the compiler vectorizes it, and tempering runs per draw
+/// so the state stays 312 words. Satisfies UniformRandomBitGenerator, so
+/// std distributions accept it and see the same values they would from
+/// the standard engine.
+class Mt19937_64 {
+ public:
+  using result_type = uint64_t;
+
+  explicit Mt19937_64(uint64_t seed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~uint64_t{0}; }
+
+  result_type operator()() {
+    if (index_ >= kStateWords) Twist();
+    uint64_t z = state_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr size_t kStateWords = 312;
+
+  /// Regenerates all 312 state words and rewinds the read index.
+  void Twist();
+
+  uint64_t state_[kStateWords];
+  size_t index_;
+};
+
+/// Maps 64 random bits to a double in [0, 1), equal to libstdc++'s
+/// `std::generate_canonical<double, 53>` on a 64-bit engine: the correctly
+/// rounded `bits · 2⁻⁶⁴`. Each 32-bit half converts to double exactly, so
+/// the one add rounds once; a result of 1 (bits near 2⁶⁴) is clamped to
+/// the largest double below 1, as the standard library does. Branch-free.
+inline double UnitUniform(uint64_t bits) {
+  const double hi = static_cast<double>(static_cast<uint32_t>(bits >> 32));
+  const double lo = static_cast<double>(static_cast<uint32_t>(bits));
+  return std::min((hi * 0x1.0p32 + lo) * 0x1.0p-64, 0x1.fffffffffffffp-1);
+}
+
+/// Seedable pseudo-random number generator over a 64-bit Mersenne Twister
+/// (`Mt19937_64`); its values match what the same calls on the standard
+/// library's MT19937-64 engine with the std distributions return.
 class Rng {
  public:
   /// Creates a generator from a 64-bit seed; equal seeds yield equal streams.
@@ -38,16 +88,18 @@ class Rng {
     return std::uniform_int_distribution<int64_t>(lo, hi)(engine_);
   }
 
-  /// Returns a uniform double in the half-open range [lo, hi).
+  /// Returns a uniform double in the half-open range [lo, hi); the same
+  /// value `std::uniform_real_distribution<double>(lo, hi)` would draw.
   double UniformReal(double lo, double hi) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    return UnitUniform(engine_()) * (hi - lo) + lo;
   }
 
-  /// Returns true with probability `p` (clamped to [0,1]).
+  /// Returns true with probability `p` (clamped to [0,1]); the same value
+  /// `std::bernoulli_distribution(p)` would draw.
   bool Bernoulli(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
-    return std::bernoulli_distribution(p)(engine_);
+    return UnitUniform(engine_()) < p;
   }
 
   /// Returns a normally distributed double.
@@ -75,24 +127,21 @@ class Rng {
     return Rng(Scramble(seed_ ^ (0x9e3779b97f4a7c15ULL * (salt + 1))));
   }
 
-  /// Access to the underlying engine for std distributions.
-  std::mt19937_64& engine() { return engine_; }
-
  private:
   /// splitmix64 finalizer; decorrelates sequential seeds.
   static uint64_t Scramble(uint64_t x);
 
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
   uint64_t seed_;
 };
 
 /// A small, fast counterpart to `Rng`: xoshiro256++ (~1 ns per draw vs
-/// ~12 ns for mt19937_64), for hot loops that consume bulk randomness —
-/// the checkerboard sweep kernels fill per-color-class uniform buffers
-/// from one of these. Seed it from the owning `Rng` stream
-/// (`FastRng(rng.Next())`) so determinism and fork discipline still hang
-/// off the single experiment seed. Not a drop-in for `Rng`: no
-/// distributions, no forking.
+/// ~2 ns for `Mt19937_64`, and no 312-word state to seed), for hot loops
+/// that consume bulk randomness — the checkerboard sweep kernels fill
+/// per-color-class uniform buffers from one of these. Seed it from the
+/// owning `Rng` stream (`FastRng(rng.Next())`) so determinism and fork
+/// discipline still hang off the single experiment seed. Not a drop-in
+/// for `Rng`: no distributions, no forking.
 class FastRng {
  public:
   /// Expands the 64-bit seed into the 256-bit state with splitmix64.

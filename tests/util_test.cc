@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
 #include <set>
 
 #include "util/rng.h"
@@ -193,6 +195,144 @@ TEST(RngTest, SampleWithoutReplacementAllWhenCountExceedsN) {
   Rng rng(37);
   std::vector<int> picks = rng.SampleWithoutReplacement(5, 10);
   EXPECT_EQ(picks.size(), 5u);
+}
+
+// --------------------------------------------------------------------
+// Stream parity: the in-house engine and uniform helper must reproduce
+// the standard library's stream value for value, since the bit-exact
+// kScalar kernel and every golden fixture hang off it.
+// --------------------------------------------------------------------
+
+// Rng's seed scrambler (splitmix64), so a std twin can be seeded alike.
+uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+const uint64_t kParitySeeds[] = {0, 1, 5489, 0x9e3779b97f4a7c15ULL,
+                                 ~uint64_t{0}};
+
+TEST(Mt19937Test, KnownAnswerForDefaultSeed) {
+  // The standard's check value: the 10000th output for seed 5489.
+  Mt19937_64 engine(5489);
+  for (int i = 0; i < 9999; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(Mt19937Test, MatchesStdEngineOverAMillionOutputs) {
+  for (uint64_t seed : kParitySeeds) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 reference(seed);
+    int mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      if (ours() != reference()) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
+}
+
+TEST(Mt19937Test, RngStreamIsStdEngineOnScrambledSeed) {
+  for (uint64_t seed : kParitySeeds) {
+    Rng rng(seed);
+    std::mt19937_64 reference(SplitMix64(seed));
+    for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.Next(), reference()) << i;
+  }
+}
+
+TEST(UnitUniformTest, MatchesGenerateCanonicalOnTwinEngine) {
+  for (uint64_t seed : kParitySeeds) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 reference(seed);
+    int mismatches = 0;
+    for (int i = 0; i < 1000000; ++i) {
+      if (UnitUniform(ours()) !=
+          std::generate_canonical<double, 53>(reference)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "seed " << seed;
+  }
+}
+
+// Returns one fixed value: drives generate_canonical through the edges.
+struct FixedBits {
+  using result_type = uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~uint64_t{0}; }
+  result_type operator()() { return value; }
+  uint64_t value;
+};
+
+TEST(UnitUniformTest, EdgeValuesMatchGenerateCanonical) {
+  const uint64_t edges[] = {
+      0, 1, 0xffffffffULL, 0x100000000ULL,
+      (uint64_t{1} << 53) + 1,  // exact: fits in 54 bits, odd low bit
+      0x8000000000000400ULL,    // tie, even mantissa: rounds down
+      0x8000000000000c00ULL,    // tie, odd mantissa: rounds up
+      0x8000000000000401ULL,    // just above a tie
+      0xfffffffffffff800ULL,    // largest input that stays below 1
+      0xfffffffffffffbffULL,    // rounds down to 1 - 2^-53
+      0xfffffffffffffc00ULL,    // tie that rounds up to 1: clamped
+      ~uint64_t{0},             // rounds to 1: clamped
+  };
+  for (uint64_t bits : edges) {
+    FixedBits stub{bits};
+    const double reference = std::generate_canonical<double, 53>(stub);
+    EXPECT_EQ(UnitUniform(bits), reference) << std::hex << bits;
+  }
+  EXPECT_EQ(UnitUniform(~uint64_t{0}), std::nextafter(1.0, 0.0));
+}
+
+TEST(RngParityTest, UniformRealMatchesStdDistribution) {
+  const double ranges[][2] = {{0.0, 1.0}, {-1.0, 1.0}, {3.5, 1e6}};
+  for (uint64_t seed : kParitySeeds) {
+    for (const auto& range : ranges) {
+      Rng rng(seed);
+      std::mt19937_64 twin(SplitMix64(seed));
+      std::uniform_real_distribution<double> dist(range[0], range[1]);
+      for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(rng.UniformReal(range[0], range[1]), dist(twin))
+            << "seed " << seed << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(RngParityTest, BernoulliMatchesStdDistribution) {
+  const double probabilities[] = {1e-9, 0.1, 0.5, 0.75, 1.0 - 1e-12};
+  for (uint64_t seed : kParitySeeds) {
+    for (double p : probabilities) {
+      Rng rng(seed);
+      std::mt19937_64 twin(SplitMix64(seed));
+      std::bernoulli_distribution dist(p);
+      for (int i = 0; i < 100000; ++i) {
+        ASSERT_EQ(rng.Bernoulli(p), dist(twin))
+            << "seed " << seed << " p " << p << " draw " << i;
+      }
+    }
+  }
+}
+
+TEST(RngParityTest, UniformIntAndGaussianSequencesArePinned) {
+  // These still go through std distributions, now fed by Mt19937_64; the
+  // values were recorded on std::mt19937_64 and must never move.
+  Rng ints(2016);
+  const int expected_ints[] = {77, 89, 51, 39, 28, 54, 2, 56};
+  for (int v : expected_ints) EXPECT_EQ(ints.UniformInt(0, 99), v);
+
+  Rng wide(2016);
+  const int64_t expected_wide[] = {550996632049LL, 798422115664LL,
+                                   20547672097LL, -209059485077LL};
+  for (int64_t v : expected_wide) {
+    EXPECT_EQ(wide.UniformInt64(-1000000000000LL, 1000000000000LL), v);
+  }
+
+  Rng normal(2016);
+  const double expected_normal[] = {0.28684358710132801, -2.486282911504774,
+                                    0.35335870841229944, 0.058011517456307796};
+  for (double v : expected_normal) EXPECT_EQ(normal.Gaussian(0.0, 1.0), v);
 }
 
 TEST(RngTest, ShufflePreservesElements) {
