@@ -8,7 +8,8 @@
 // deterministic service clock, so those two numbers are bit-identical on
 // every machine). The bench *fails* (exit 1) unless every parallel run
 // settles the same requests with the same outcomes (status, backend,
-// cost, solution, modeled timings) as the serial run — the service's
+// cost, solution, modeled timings) and the same metrics snapshot (every
+// counter and both latency histograms) as the serial run — the service's
 // round scheduler must not let worker count leak into results. Results go
 // to BENCH_service.json for diff_bench.py (--metric requests_per_sec).
 
@@ -40,7 +41,12 @@ constexpr uint64_t kSeed = 20260808;
 
 struct LoadResult {
   double wall_ms = 0.0;
-  service::ServiceStats stats;
+  /// The run's final metrics snapshot (JSON exposition) and the admission
+  /// counters the artifact reports, read from the registry.
+  std::string metrics_json;
+  int64_t accepted = 0;
+  int64_t rejected_queue_full = 0;
+  int64_t shed_degraded = 0;
   std::vector<std::string> fingerprints;  // one per settled request
   std::vector<double> modeled_latency_ms;  // queue wait + solve, per request
 };
@@ -68,15 +74,15 @@ double Percentile(std::vector<double> values, double p) {
 }
 
 /// One sustained-load run: submit every instance (overfilling the queue),
-/// then drain to empty. Returns outcomes in settle order. When `tracer` /
-/// `prom_out` / `json_out` are set (the serial run), the run is traced
-/// and its final metric snapshot captured in both exposition formats.
+/// then drain to empty. Returns outcomes in settle order and the final
+/// metric snapshot as JSON. When `tracer` / `prom_out` are set (the serial
+/// run), the run is traced and the snapshot also captured as Prometheus
+/// text.
 LoadResult RunLoad(const chimera::ChimeraGraph& graph,
                    const std::vector<harness::PaperInstance>& instances,
                    int num_requests, int num_threads,
                    obs::Tracer* tracer = nullptr,
-                   std::string* prom_out = nullptr,
-                   std::string* json_out = nullptr) {
+                   std::string* prom_out = nullptr) {
   service::ServiceOptions options;
   options.graph = &graph;
   options.num_threads = num_threads;
@@ -116,17 +122,23 @@ LoadResult RunLoad(const chimera::ChimeraGraph& graph,
 
   LoadResult result;
   result.wall_ms = watch.ElapsedMillis();
-  result.stats = solve_service.stats();
   for (const service::SolveOutcome& outcome : solve_service.outcomes()) {
     result.fingerprints.push_back(Fingerprint(outcome));
     result.modeled_latency_ms.push_back(outcome.queue_wait_modeled_ms +
                                         outcome.solve_modeled_ms);
   }
-  if (prom_out != nullptr || json_out != nullptr) {
-    obs::MetricsSnapshot snapshot = solve_service.metrics().Collect();
-    if (prom_out != nullptr) *prom_out = snapshot.PrometheusText();
-    if (json_out != nullptr) *json_out = snapshot.JsonText();
-  }
+  obs::MetricsRegistry& metrics = solve_service.metrics();
+  result.accepted =
+      metrics.counter("qmqo_service_requests_accepted_total")->Value();
+  result.rejected_queue_full =
+      metrics
+          .counter("qmqo_service_requests_rejected_total{reason=\"queue_full\"}")
+          ->Value();
+  result.shed_degraded =
+      metrics.counter("qmqo_service_shed_degraded_total")->Value();
+  obs::MetricsSnapshot snapshot = metrics.Collect();
+  result.metrics_json = snapshot.JsonText();
+  if (prom_out != nullptr) *prom_out = snapshot.PrometheusText();
   return result;
 }
 
@@ -160,7 +172,6 @@ int main() {
   LoadResult serial;
   obs::Tracer serial_tracer;
   std::string serial_prom;
-  std::string serial_metrics_json;
   bool all_identical = true;
   bench::JsonArray runs;
   for (int threads : {1, 2, 4}) {
@@ -169,20 +180,20 @@ int main() {
     LoadResult result =
         threads == 1
             ? RunLoad(graph, instances, num_requests, threads, &serial_tracer,
-                      &serial_prom, &serial_metrics_json)
+                      &serial_prom)
             : RunLoad(graph, instances, num_requests, threads);
     bool identical = true;
     if (threads == 1) {
       serial = result;
     } else {
       identical = result.fingerprints == serial.fingerprints &&
-                  result.stats == serial.stats;
+                  result.metrics_json == serial.metrics_json;
       all_identical = all_identical && identical;
     }
+    const size_t settled = result.fingerprints.size();
     double wall_sec = result.wall_ms / 1000.0;
     double throughput =
-        wall_sec > 0.0 ? static_cast<double>(result.stats.settled()) / wall_sec
-                       : 0.0;
+        wall_sec > 0.0 ? static_cast<double>(settled) / wall_sec : 0.0;
     bench::JsonObject row;
     row.Add("engine", "service");
     row.Add("threads", static_cast<int64_t>(threads));
@@ -195,7 +206,7 @@ int main() {
     std::printf(
         "service threads=%d  settled=%lld  wall=%.1f ms  %.1f req/s  "
         "p50=%.3f ms  p99=%.3f ms  identical=%s\n",
-        threads, static_cast<long long>(result.stats.settled()),
+        threads, static_cast<long long>(settled),
         result.wall_ms, throughput,
         Percentile(result.modeled_latency_ms, 0.50),
         Percentile(result.modeled_latency_ms, 0.99),
@@ -206,14 +217,13 @@ int main() {
   // Admission + degradation profile of the (deterministic) serial run:
   // the burst overfills the 16-slot queue, so both counters must be
   // nonzero — a zero here means the overload path silently stopped firing.
-  root.Add("accepted", serial.stats.accepted);
-  root.Add("rejected_queue_full", serial.stats.rejected_queue_full);
-  root.Add("shed_degraded", serial.stats.shed_degraded);
-  double shed_rate =
-      serial.stats.accepted > 0
-          ? static_cast<double>(serial.stats.shed_degraded) /
-                static_cast<double>(serial.stats.accepted)
-          : 0.0;
+  root.Add("accepted", serial.accepted);
+  root.Add("rejected_queue_full", serial.rejected_queue_full);
+  root.Add("shed_degraded", serial.shed_degraded);
+  double shed_rate = serial.accepted > 0
+                         ? static_cast<double>(serial.shed_degraded) /
+                               static_cast<double>(serial.accepted)
+                         : 0.0;
   root.Add("shed_rate", shed_rate);
 
   // Per-stage modeled-time breakdown of the serial run, summed over its
@@ -238,8 +248,8 @@ int main() {
 
   root.Add("all_identical_to_serial", all_identical);
   std::printf("accepted=%lld rejected=%lld shed_rate=%.3f\n",
-              static_cast<long long>(serial.stats.accepted),
-              static_cast<long long>(serial.stats.rejected_queue_full),
+              static_cast<long long>(serial.accepted),
+              static_cast<long long>(serial.rejected_queue_full),
               shed_rate);
 
   std::string path = bench::WriteBenchArtifact("service", root);
@@ -255,7 +265,7 @@ int main() {
   // JSON one (labeled metric names carry quotes that must be escaped).
   const std::pair<const char*, const std::string*> expositions[] = {
       {"BENCH_service.prom", &serial_prom},
-      {"BENCH_service_metrics.json", &serial_metrics_json},
+      {"BENCH_service_metrics.json", &serial.metrics_json},
   };
   for (const auto& [filename, content] : expositions) {
     const char* dir = std::getenv("QMQO_BENCH_OUT_DIR");
@@ -281,7 +291,7 @@ int main() {
                  "FAIL: parallel service runs diverged from serial\n");
     return 1;
   }
-  if (serial.stats.rejected_queue_full == 0 || serial.stats.shed_degraded == 0) {
+  if (serial.rejected_queue_full == 0 || serial.shed_degraded == 0) {
     std::fprintf(stderr,
                  "FAIL: overload burst produced no rejects/shedding\n");
     return 1;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -37,17 +39,20 @@ const char* FaultSiteOf(SolveBackend backend) {
 }
 
 // What one attempt produced. `modeled_ms` is the simulated-latency debit
-// the orchestrator charges to the deadline (injected device latency; the
-// backoff that may follow is added by the caller).
+// the orchestrator charges to the deadline (injected latency; the backoff
+// that may follow is added by the ladder). An MQO answer lands in
+// `solution`, a bare-QUBO answer in `assignment`; `cost` is the MQO cost or
+// the QUBO energy.
 struct AttemptOutcome {
   Status status;
   mqo::MqoSolution solution{0};
+  std::vector<uint8_t> assignment;
   double cost = 0.0;
   double modeled_ms = 0.0;
   double broken_chain_fraction = 0.0;
 };
 
-// Refines a read-out into a final answer the way every backend does:
+// Refines an MQO read-out into a final answer the way every backend does:
 // swap descent, then exact cost.
 void FinishSolution(const mqo::MqoProblem& problem, mqo::MqoSolution solution,
                     AttemptOutcome* out) {
@@ -57,22 +62,12 @@ void FinishSolution(const mqo::MqoProblem& problem, mqo::MqoSolution solution,
   out->status = Status::OK();
 }
 
-// What one bare-QUBO attempt produced (SolveQubo's counterpart of
-// AttemptOutcome; the payload is an assignment instead of an MqoSolution).
-struct QuboOutcome {
-  Status status;
-  std::vector<uint8_t> assignment;
-  double cost = 0.0;
-  double modeled_ms = 0.0;
-  double broken_chain_fraction = 0.0;
-};
-
 // Refines a read-out into a final QUBO answer: deterministic
 // best-improvement single-flip descent (lowest variable id on ties), then
 // exact energy. Strictly decreasing energy over a finite state space, so it
 // always terminates; from all-zeros it doubles as the greedy last resort.
 void FinishQubo(const qubo::QuboProblem& problem, std::vector<uint8_t> x,
-                QuboOutcome* out) {
+                AttemptOutcome* out) {
   x.resize(static_cast<size_t>(problem.num_vars()), 0);
   for (uint8_t& bit : x) bit = bit ? 1 : 0;
   for (;;) {
@@ -93,23 +88,129 @@ void FinishQubo(const qubo::QuboProblem& problem, std::vector<uint8_t> x,
   out->status = Status::OK();
 }
 
-// The degradation-ladder driver shared by the MQO and bare-QUBO solve
-// paths. `run_attempt(backend, attempt)` produces an outcome carrying
-// {status, cost, modeled_ms, broken_chain_fraction}; `commit(outcome)`
-// moves the winning payload into the report. Everything else — admission
-// gating, retry budget, backoff with seeded jitter, deadline accounting,
-// chain-break storm detection, trace spans, attempt records, the
-// retries/fallbacks arithmetic — is payload-independent and lives here, so
-// the MQO path stays bit-for-bit what it was before the extraction.
-template <typename RunAttempt, typename Commit>
-void RunLadder(const SolvePolicy& policy, obs::SolveTrace* trace,
-               util::Deadline* deadline, Rng* jitter_rng,
-               RunAttempt&& run_attempt, Commit&& commit,
-               SolveReport* report) {
+// What differs between the MQO and the bare-QUBO solve; the runner below
+// owns everything else.
+struct SolvePath {
+  // The QUBO the SQA and SA rungs sample: the logical QUBO for MQO, the
+  // problem itself for a bare QUBO. Null when it could not be built;
+  // `sampled_status` says why, and those rungs fail with it.
+  const qubo::QuboProblem* sampled = nullptr;
+  Status sampled_status;
+  // From a sampler's best read (one 0/1 byte per variable of `sampled`)
+  // to a finished answer.
+  std::function<void(std::vector<uint8_t>, AttemptOutcome*)> finish;
+  // The greedy last resort's finished answer.
+  std::function<void(AttemptOutcome*)> greedy;
+  // The device rung, given the 1-based attempt number and the attempt's
+  // own fault view (null without faults). Empty when the problem has no
+  // embedding: the rung is then gated as a typed Unimplemented skip.
+  std::function<void(int, const util::FaultInjector*, AttemptOutcome*)>
+      device;
+};
+
+// One ladder attempt on `backend`. `faults` is a view scoped to this
+// attempt, so the firings and the latency it reports are this attempt's
+// alone, even while concurrent solves share the policy's injector.
+AttemptOutcome RunAttempt(const SolvePolicy& policy,
+                          const QuantumMqoOptions& options,
+                          const SolvePath& path, SolveBackend backend,
+                          int attempt, const util::FaultInjector* faults) {
+  AttemptOutcome out;
+  // The orchestrator's own fault point: force a whole rung down.
+  if (faults != nullptr) {
+    const char* site = FaultSiteOf(backend);
+    Status injected =
+        faults->MaybeFail(site, static_cast<uint64_t>(attempt - 1));
+    if (!injected.ok()) {
+      out.status = std::move(injected);
+      out.modeled_ms = faults->LatencyMillis(site);
+      return out;
+    }
+  }
+  switch (backend) {
+    case SolveBackend::kDevice:
+      if (!path.device) {
+        // Reachable only when a caller puts kDevice last in the ladder
+        // (the last resort is never gated).
+        out.status = Status::Unimplemented(
+            "device backend requires an embedded MQO problem");
+        return out;
+      }
+      path.device(attempt, faults, &out);
+      return out;
+    case SolveBackend::kSqa:
+    case SolveBackend::kSa: {
+      if (path.sampled == nullptr) {
+        out.status = path.sampled_status;
+        return out;
+      }
+      anneal::SampleSet set;
+      if (backend == SolveBackend::kSqa) {
+        anneal::SqaOptions sqa;
+        sqa.num_reads = policy.sqa_reads;
+        sqa.num_slices = policy.sqa_slices;
+        sqa.sweeps = policy.sqa_sweeps;
+        sqa.seed =
+            Rng(policy.seed).Fork(0x50aULL + static_cast<uint64_t>(attempt))
+                .Next();
+        sqa.num_threads = options.device.num_threads;
+        sqa.executor = options.device.executor;
+        sqa.sweep_kernel = options.device.sweep_kernel;
+        set = anneal::SimulatedQuantumAnnealer(sqa).Sample(*path.sampled);
+      } else {
+        anneal::SaOptions sa;
+        sa.num_reads = policy.sa_reads;
+        sa.sweeps_per_read = policy.sa_sweeps;
+        sa.seed =
+            Rng(policy.seed).Fork(0x5aULL + static_cast<uint64_t>(attempt))
+                .Next();
+        sa.num_threads = options.device.num_threads;
+        sa.executor = options.device.executor;
+        sa.sweep_kernel = options.device.sweep_kernel;
+        set = anneal::SimulatedAnnealer(sa).Sample(*path.sampled);
+      }
+      if (set.empty()) {
+        out.status = Status::Internal(
+            StrFormat("%s backend returned no samples",
+                      backend == SolveBackend::kSqa ? "SQA" : "SA"));
+        return out;
+      }
+      std::vector<uint8_t> bytes;
+      set.best().assignment.CopyBytesTo(&bytes);
+      path.finish(std::move(bytes), &out);
+      return out;
+    }
+    case SolveBackend::kGreedy:
+      path.greedy(&out);
+      return out;
+  }
+  out.status = Status::Internal("unknown backend");
+  return out;
+}
+
+// The one solve runner behind `Solve` and `SolveQubo`. Everything but the
+// `path` is payload-independent and lives here: deadline and jitter setup,
+// admission gating, per-attempt fault views, retry budget, backoff with
+// seeded jitter, deadline accounting, chain-break storm detection, trace
+// spans, attempt records, the retries/fallbacks arithmetic, and the
+// report totals.
+SolveReport RunSolve(const SolvePolicy& policy,
+                     const QuantumMqoOptions& options, const SolvePath& path) {
+  SolveReport report;
+  Stopwatch total;
+  util::Deadline deadline = policy.deadline_ms > 0.0
+                                ? util::Deadline::AfterMillis(policy.deadline_ms)
+                                : util::Deadline::Infinite();
+  // Jitter draws happen only after deterministic failures, so the stream
+  // stays reproducible for equal (seed, faults, policy).
+  Rng jitter_rng = Rng(policy.seed).Fork(0xbac0ffULL);
+  obs::SolveTrace* trace = options.trace;
   const int max_attempts = std::max(1, policy.max_attempts_per_backend);
 
   // One "solve.attempt" span per ladder attempt (and per gate-skipped
-  // rung), nested under whatever span the caller has open.
+  // rung), nested under whatever span the caller has open. The device
+  // backend's pipeline spans become its children: the attempt options
+  // carry the same trace pointer.
   auto close_attempt_span = [&](const SolveAttempt& rec) {
     if (trace == nullptr) return;
     // Tag the status *code* only: messages embed wall times, which would
@@ -134,16 +235,24 @@ void RunLadder(const SolvePolicy& policy, obs::SolveTrace* trace,
     start_rung = std::min(static_cast<size_t>(policy.entry_rung),
                           policy.ladder.size() - 1);
   }
-  for (size_t rung = start_rung; rung < policy.ladder.size() && !report->ok;
+  for (size_t rung = start_rung; rung < policy.ladder.size() && !report.ok;
        ++rung) {
     const SolveBackend backend = policy.ladder[rung];
     const bool last_resort = rung + 1 == policy.ladder.size();
-    // Consult the admission gate (e.g. a circuit-breaker snapshot) before
-    // spending any of the retry budget on this rung. The last resort is
-    // never gated — something must answer. A skipped rung costs nothing:
-    // one attempt-0 record, no attempts, no backoff.
-    if (!last_resort && policy.backend_gate) {
-      Status gate = policy.backend_gate(backend);
+    // Consult the admission gate (a missing device, then e.g. a
+    // circuit-breaker snapshot) before spending any of the retry budget on
+    // this rung. The last resort is never gated — something must answer.
+    // A skipped rung costs nothing: one attempt-0 record, no attempts, no
+    // backoff.
+    if (!last_resort) {
+      Status gate;
+      if (backend == SolveBackend::kDevice && !path.device) {
+        gate = Status::Unimplemented(
+            "device backend requires an embedded MQO problem; bare QUBO "
+            "solves enter the ladder at SQA");
+      } else if (policy.backend_gate) {
+        gate = policy.backend_gate(backend);
+      }
       if (!gate.ok()) {
         SolveAttempt skipped;
         skipped.backend = backend;
@@ -157,17 +266,17 @@ void RunLadder(const SolvePolicy& policy, obs::SolveTrace* trace,
           trace->Tag("gate", "skipped");
         }
         close_attempt_span(skipped);
-        report->attempts.push_back(std::move(skipped));
+        report.attempts.push_back(std::move(skipped));
         last_error = std::move(gate);
         continue;
       }
     }
     bool tried = false;
-    for (int attempt = 1; attempt <= max_attempts && !report->ok; ++attempt) {
+    for (int attempt = 1; attempt <= max_attempts && !report.ok; ++attempt) {
       // The last resort always runs: a valid (cheap) answer beats honoring
       // an already-blown budget with no answer at all.
-      if (deadline->expired() && !last_resort) {
-        report->deadline_exhausted = true;
+      if (deadline.expired() && !last_resort) {
+        report.deadline_exhausted = true;
         break;
       }
       tried = true;
@@ -181,20 +290,19 @@ void RunLadder(const SolvePolicy& policy, obs::SolveTrace* trace,
         trace->Tag("backend", SolveBackendName(backend));
         trace->Tag("attempt", static_cast<int64_t>(attempt));
       }
-      const int64_t faults_before =
-          policy.faults != nullptr ? policy.faults->faults_injected() : 0;
+      const std::unique_ptr<util::FaultInjector> faults =
+          policy.faults != nullptr ? policy.faults->Scope() : nullptr;
       Stopwatch attempt_clock;
-      auto out = run_attempt(backend, attempt);
+      AttemptOutcome out =
+          RunAttempt(policy, options, path, backend, attempt, faults.get());
       rec.wall_ms = attempt_clock.ElapsedMillis();
       rec.modeled_ms = out.modeled_ms;
-      deadline->Charge(out.modeled_ms);
+      deadline.Charge(out.modeled_ms);
       rec.broken_chain_fraction = out.broken_chain_fraction;
       rec.status = std::move(out.status);
-      rec.faults_observed =
-          (policy.faults != nullptr ? policy.faults->faults_injected() : 0) -
-          faults_before;
-      report->faults_observed += rec.faults_observed;
-      ++report->total_attempts;
+      rec.faults_observed = faults != nullptr ? faults->faults_injected() : 0;
+      report.faults_observed += rec.faults_observed;
+      ++report.total_attempts;
 
       if (rec.status.ok() && policy.attempt_timeout_ms > 0.0 &&
           rec.wall_ms + rec.modeled_ms > policy.attempt_timeout_ms) {
@@ -216,14 +324,15 @@ void RunLadder(const SolvePolicy& policy, obs::SolveTrace* trace,
 
       if (rec.status.ok()) {
         rec.cost = out.cost;
-        report->ok = true;
-        report->backend = backend;
-        report->cost = out.cost;
-        report->final_status = Status::OK();
-        report->fallbacks = static_cast<int>(rung);
-        commit(std::move(out));
+        report.ok = true;
+        report.backend = backend;
+        report.cost = out.cost;
+        report.final_status = Status::OK();
+        report.fallbacks = static_cast<int>(rung);
+        report.solution = std::move(out.solution);
+        report.qubo_assignment = std::move(out.assignment);
         close_attempt_span(rec);
-        report->attempts.push_back(std::move(rec));
+        report.attempts.push_back(std::move(rec));
         break;
       }
 
@@ -233,16 +342,16 @@ void RunLadder(const SolvePolicy& policy, obs::SolveTrace* trace,
             policy.backoff_initial_ms *
             std::pow(policy.backoff_multiplier, attempt - 1);
         if (policy.backoff_jitter > 0.0) {
-          backoff *= 1.0 + jitter_rng->UniformReal(-policy.backoff_jitter,
-                                                   policy.backoff_jitter);
+          backoff *= 1.0 + jitter_rng.UniformReal(-policy.backoff_jitter,
+                                                  policy.backoff_jitter);
         }
         backoff = std::max(0.0, backoff);
         // Waiting longer than the remaining budget cannot help; degrade
         // instead of burning the deadline on a sleep.
-        if (backoff < deadline->RemainingMillis()) {
+        if (backoff < deadline.RemainingMillis()) {
           rec.backoff_ms = backoff;
           rec.modeled_ms += backoff;
-          deadline->Charge(backoff);
+          deadline.Charge(backoff);
           if (policy.sleep_on_backoff) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double, std::milli>(backoff));
@@ -250,13 +359,16 @@ void RunLadder(const SolvePolicy& policy, obs::SolveTrace* trace,
         }
       }
       close_attempt_span(rec);
-      report->attempts.push_back(std::move(rec));
+      report.attempts.push_back(std::move(rec));
     }
     if (tried) ++backends_tried;
   }
 
-  report->retries = report->total_attempts - backends_tried;
-  if (!report->ok) report->final_status = last_error;
+  report.retries = report.total_attempts - backends_tried;
+  if (!report.ok) report.final_status = last_error;
+  report.total_wall_ms = total.ElapsedMillis();
+  report.total_modeled_ms = deadline.charged_millis();
+  return report;
 }
 
 }  // namespace
@@ -293,29 +405,27 @@ SolveReport ResilientSolver::Solve(const mqo::MqoProblem& problem,
                                    const embedding::Embedding& embedding,
                                    const chimera::ChimeraGraph& graph,
                                    const QuantumMqoOptions& options) const {
-  SolveReport report;
-  Stopwatch total;
-  util::Deadline deadline = policy_.deadline_ms > 0.0
-                                ? util::Deadline::AfterMillis(policy_.deadline_ms)
-                                : util::Deadline::Infinite();
-  // Jitter draws happen only after deterministic failures, so the stream
-  // stays reproducible for equal (seed, faults, policy).
-  Rng jitter_rng = Rng(policy_.seed).Fork(0xbac0ffULL);
-
-  // The degraded samplers run on the logical QUBO — built once, shared by
-  // every SQA/SA attempt. The device path builds its own inside the
-  // pipeline; greedy needs none.
+  // The samplers run on the logical QUBO, built once and shared by every
+  // SQA/SA attempt. The device path builds its own inside the pipeline;
+  // greedy needs none.
+  SolvePath path;
   std::optional<mapping::LogicalMapping> logical;
-  Status logical_status;
   {
     Result<mapping::LogicalMapping> built =
         mapping::LogicalMapping::Create(problem, options.logical);
     if (built.ok()) {
       logical.emplace(std::move(built).value());
+      path.sampled = &logical->qubo();
     } else {
-      logical_status = built.status();
+      path.sampled_status = built.status();
     }
   }
+  path.finish = [&](std::vector<uint8_t> bits, AttemptOutcome* out) {
+    FinishSolution(problem, logical->RepairedSolution(bits), out);
+  };
+  path.greedy = [&](AttemptOutcome* out) {
+    FinishSolution(problem, baselines::GreedySolver::Construct(problem), out);
+  };
 
   // Per-request embedding cache: the structure is identical across device
   // retries (only gauges/fault keys change), so every retry after the first
@@ -326,250 +436,66 @@ SolveReport ResilientSolver::Solve(const mqo::MqoProblem& problem,
   embedding::EmbeddingCache* embedding_cache =
       options.embedding_cache != nullptr ? options.embedding_cache
                                          : &request_cache;
-
-  auto run_attempt = [&](SolveBackend backend, int attempt) -> AttemptOutcome {
-    AttemptOutcome out;
-    // The orchestrator's own fault point: force a whole rung down.
-    if (policy_.faults != nullptr) {
-      const char* site = FaultSiteOf(backend);
-      uint64_t key = static_cast<uint64_t>(attempt - 1);
-      Status injected = policy_.faults->MaybeFail(site, key);
-      if (!injected.ok()) {
-        out.status = std::move(injected);
-        out.modeled_ms = policy_.faults->LatencyMillis(site);
-        return out;
-      }
+  path.device = [&](int attempt, const util::FaultInjector* faults,
+                    AttemptOutcome* out) {
+    QuantumMqoOptions attempt_options = options;
+    attempt_options.embedding_cache = embedding_cache;
+    // The pipeline fires on the attempt's own view of the policy's
+    // injector, so its firings and latency are this attempt's alone.
+    if (attempt_options.faults == nullptr ||
+        attempt_options.faults == policy_.faults) {
+      attempt_options.faults = faults;
     }
-    switch (backend) {
-      case SolveBackend::kDevice: {
-        QuantumMqoOptions attempt_options = options;
-        attempt_options.embedding_cache = embedding_cache;
-        if (policy_.faults != nullptr && attempt_options.faults == nullptr) {
-          attempt_options.faults = policy_.faults;
-        }
-        attempt_options.fault_attempt = static_cast<uint64_t>(attempt - 1);
-        if (attempt > 1) {
-          // Fresh gauges per retry: refork the caller's device seed so a
-          // chain-break storm is not replayed verbatim. Attempt 1 keeps the
-          // caller's seed — a no-fault solve reproduces the plain pipeline.
-          attempt_options.device.seed =
-              Rng(options.device.seed)
-                  .Fork(static_cast<uint64_t>(attempt))
-                  .Next();
-        }
-        const int64_t latency_fires_before =
-            policy_.faults != nullptr
-                ? policy_.faults->FaultCount("device.latency")
-                : 0;
-        Result<QuantumMqoResult> solved =
-            SolveQuantumMqo(problem, embedding, graph, attempt_options);
-        if (!solved.ok()) {
-          out.status = solved.status();
-          // A failed device call still burned its injected latency; the
-          // result payload is gone, so recover the charge from the fault
-          // counters (each firing costs the spec's latency_ms).
-          if (policy_.faults != nullptr) {
-            out.modeled_ms =
-                static_cast<double>(
-                    policy_.faults->FaultCount("device.latency") -
-                    latency_fires_before) *
-                policy_.faults->LatencyMillis("device.latency");
-          }
-          return out;
-        }
-        out.modeled_ms = solved->injected_latency_ms;
-        out.broken_chain_fraction = solved->broken_chain_read_fraction;
-        out.cost = solved->best_cost;
-        out.solution = solved->best_solution;
-        out.status = Status::OK();
-        return out;
-      }
-      case SolveBackend::kSqa: {
-        if (!logical.has_value()) {
-          out.status = logical_status;
-          return out;
-        }
-        anneal::SqaOptions sqa;
-        sqa.num_reads = policy_.sqa_reads;
-        sqa.num_slices = policy_.sqa_slices;
-        sqa.sweeps = policy_.sqa_sweeps;
-        sqa.seed =
-            Rng(policy_.seed).Fork(0x50aULL + static_cast<uint64_t>(attempt))
-                .Next();
-        sqa.num_threads = options.device.num_threads;
-        sqa.executor = options.device.executor;
-        sqa.sweep_kernel = options.device.sweep_kernel;
-        anneal::SampleSet set =
-            anneal::SimulatedQuantumAnnealer(sqa).Sample(logical->qubo());
-        if (set.empty()) {
-          out.status = Status::Internal("SQA backend returned no samples");
-          return out;
-        }
-        std::vector<uint8_t> bytes;
-        set.best().assignment.CopyBytesTo(&bytes);
-        FinishSolution(problem, logical->RepairedSolution(bytes), &out);
-        return out;
-      }
-      case SolveBackend::kSa: {
-        if (!logical.has_value()) {
-          out.status = logical_status;
-          return out;
-        }
-        anneal::SaOptions sa;
-        sa.num_reads = policy_.sa_reads;
-        sa.sweeps_per_read = policy_.sa_sweeps;
-        sa.seed =
-            Rng(policy_.seed).Fork(0x5aULL + static_cast<uint64_t>(attempt))
-                .Next();
-        sa.num_threads = options.device.num_threads;
-        sa.executor = options.device.executor;
-        sa.sweep_kernel = options.device.sweep_kernel;
-        anneal::SampleSet set =
-            anneal::SimulatedAnnealer(sa).Sample(logical->qubo());
-        if (set.empty()) {
-          out.status = Status::Internal("SA backend returned no samples");
-          return out;
-        }
-        std::vector<uint8_t> bytes;
-        set.best().assignment.CopyBytesTo(&bytes);
-        FinishSolution(problem, logical->RepairedSolution(bytes), &out);
-        return out;
-      }
-      case SolveBackend::kGreedy: {
-        FinishSolution(problem, baselines::GreedySolver::Construct(problem),
-                       &out);
-        return out;
-      }
+    attempt_options.fault_attempt = static_cast<uint64_t>(attempt - 1);
+    if (attempt > 1) {
+      // Fresh gauges per retry: refork the caller's device seed so a
+      // chain-break storm is not replayed verbatim. Attempt 1 keeps the
+      // caller's seed — a no-fault solve reproduces the plain pipeline.
+      attempt_options.device.seed =
+          Rng(options.device.seed).Fork(static_cast<uint64_t>(attempt)).Next();
     }
-    out.status = Status::Internal("unknown backend");
-    return out;
+    Result<QuantumMqoResult> solved =
+        SolveQuantumMqo(problem, embedding, graph, attempt_options);
+    if (!solved.ok()) {
+      out->status = solved.status();
+      // A failed device call still burned its injected latency; the result
+      // payload is gone, so recover the charge from the attempt's fault
+      // view (each firing costs the spec's latency_ms).
+      if (faults != nullptr) {
+        out->modeled_ms =
+            static_cast<double>(faults->FaultCount("device.latency")) *
+            faults->LatencyMillis("device.latency");
+      }
+      return;
+    }
+    out->modeled_ms = solved->injected_latency_ms;
+    out->broken_chain_fraction = solved->broken_chain_read_fraction;
+    out->cost = solved->best_cost;
+    out->solution = std::move(solved->best_solution);
+    out->status = Status::OK();
   };
-
-  // The ladder driver handles everything backend-agnostic: retries, gates,
-  // backoff, deadline, storm checks, trace spans, attempt records. The
-  // device backend's pipeline spans become children of the attempt spans
-  // automatically: the attempt options carry the same trace pointer.
-  RunLadder(policy_, options.trace, &deadline, &jitter_rng, run_attempt,
-            [&report](AttemptOutcome&& out) {
-              report.solution = std::move(out.solution);
-            },
-            &report);
-  report.total_wall_ms = total.ElapsedMillis();
-  report.total_modeled_ms = deadline.charged_millis();
-  return report;
+  return RunSolve(policy_, options, path);
 }
 
 SolveReport ResilientSolver::SolveQubo(const qubo::QuboProblem& problem,
                                        const QuantumMqoOptions& options) const {
-  SolveReport report;
-  Stopwatch total;
-  util::Deadline deadline = policy_.deadline_ms > 0.0
-                                ? util::Deadline::AfterMillis(policy_.deadline_ms)
-                                : util::Deadline::Infinite();
-  Rng jitter_rng = Rng(policy_.seed).Fork(0xbac0ffULL);
   // Samplers share the problem across reads/threads; build the evaluation
   // structures once up front so the sharing is data-race-free.
   problem.Finalize();
-
-  // A bare QUBO carries no embedding, so the device rung cannot run. Gate
-  // it with a typed Unimplemented — one attempt-0 record, no retry budget
-  // burned — and let the ladder enter at SQA. The caller's own gate (e.g.
-  // the service's breaker snapshot) still applies to every other rung.
-  SolvePolicy policy = policy_;
-  const std::function<Status(SolveBackend)> base_gate = policy_.backend_gate;
-  policy.backend_gate = [base_gate](SolveBackend backend) -> Status {
-    if (backend == SolveBackend::kDevice) {
-      return Status::Unimplemented(
-          "device backend requires an embedded MQO problem; bare QUBO "
-          "solves enter the ladder at SQA");
-    }
-    return base_gate ? base_gate(backend) : Status::OK();
+  // No device attempt: a bare QUBO carries no embedding, so the runner
+  // gates the device rung as a typed Unimplemented skip.
+  SolvePath path;
+  path.sampled = &problem;
+  path.finish = [&](std::vector<uint8_t> bits, AttemptOutcome* out) {
+    FinishQubo(problem, std::move(bits), out);
   };
-
-  auto run_attempt = [&](SolveBackend backend, int attempt) -> QuboOutcome {
-    QuboOutcome out;
-    // The orchestrator's own fault point: force a whole rung down. Same
-    // sites as the MQO path, so chaos configurations apply unchanged.
-    if (policy.faults != nullptr) {
-      const char* site = FaultSiteOf(backend);
-      uint64_t key = static_cast<uint64_t>(attempt - 1);
-      Status injected = policy.faults->MaybeFail(site, key);
-      if (!injected.ok()) {
-        out.status = std::move(injected);
-        out.modeled_ms = policy.faults->LatencyMillis(site);
-        return out;
-      }
-    }
-    switch (backend) {
-      case SolveBackend::kDevice: {
-        // Reachable only when a caller puts kDevice last in the ladder
-        // (the last resort is never gated).
-        out.status = Status::Unimplemented(
-            "device backend requires an embedded MQO problem");
-        return out;
-      }
-      case SolveBackend::kSqa: {
-        anneal::SqaOptions sqa;
-        sqa.num_reads = policy.sqa_reads;
-        sqa.num_slices = policy.sqa_slices;
-        sqa.sweeps = policy.sqa_sweeps;
-        sqa.seed =
-            Rng(policy.seed).Fork(0x50aULL + static_cast<uint64_t>(attempt))
-                .Next();
-        sqa.num_threads = options.device.num_threads;
-        sqa.executor = options.device.executor;
-        sqa.sweep_kernel = options.device.sweep_kernel;
-        anneal::SampleSet set =
-            anneal::SimulatedQuantumAnnealer(sqa).Sample(problem);
-        if (set.empty()) {
-          out.status = Status::Internal("SQA backend returned no samples");
-          return out;
-        }
-        std::vector<uint8_t> bytes;
-        set.best().assignment.CopyBytesTo(&bytes);
-        FinishQubo(problem, std::move(bytes), &out);
-        return out;
-      }
-      case SolveBackend::kSa: {
-        anneal::SaOptions sa;
-        sa.num_reads = policy.sa_reads;
-        sa.sweeps_per_read = policy.sa_sweeps;
-        sa.seed =
-            Rng(policy.seed).Fork(0x5aULL + static_cast<uint64_t>(attempt))
-                .Next();
-        sa.num_threads = options.device.num_threads;
-        sa.executor = options.device.executor;
-        sa.sweep_kernel = options.device.sweep_kernel;
-        anneal::SampleSet set = anneal::SimulatedAnnealer(sa).Sample(problem);
-        if (set.empty()) {
-          out.status = Status::Internal("SA backend returned no samples");
-          return out;
-        }
-        std::vector<uint8_t> bytes;
-        set.best().assignment.CopyBytesTo(&bytes);
-        FinishQubo(problem, std::move(bytes), &out);
-        return out;
-      }
-      case SolveBackend::kGreedy: {
-        FinishQubo(problem,
-                   std::vector<uint8_t>(
-                       static_cast<size_t>(problem.num_vars()), 0),
-                   &out);
-        return out;
-      }
-    }
-    out.status = Status::Internal("unknown backend");
-    return out;
+  path.greedy = [&](AttemptOutcome* out) {
+    FinishQubo(problem,
+               std::vector<uint8_t>(static_cast<size_t>(problem.num_vars()), 0),
+               out);
   };
-
-  RunLadder(policy, options.trace, &deadline, &jitter_rng, run_attempt,
-            [&report](QuboOutcome&& out) {
-              report.qubo_energy = out.cost;
-              report.qubo_assignment = std::move(out.assignment);
-            },
-            &report);
-  report.total_wall_ms = total.ElapsedMillis();
-  report.total_modeled_ms = deadline.charged_millis();
+  SolveReport report = RunSolve(policy_, options, path);
+  if (report.ok) report.qubo_energy = report.cost;
   return report;
 }
 

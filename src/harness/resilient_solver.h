@@ -26,9 +26,19 @@
 ///    out — greedy is near-instant and always succeeds, so a valid MQO
 ///    solution comes back even when the device fails 100% of attempts.
 ///
+/// `Solve` (MQO) and `SolveQubo` (a bare QUBO, e.g. a graph workload) are
+/// thin wrappers over one runner that owns the ladder, the deadline, the
+/// fault sites, the single SQA and SA rungs, and the report. A wrapper
+/// supplies only what differs: the QUBO the samplers run on, the step from
+/// sampled bits to an answer, the greedy answer, and an optional device
+/// attempt (a bare QUBO has none, so its device rung is gated).
+///
 /// Every attempt is recorded in a `SolveReport` (backend, typed status,
 /// wall and modeled time, faults observed, backoff applied), so a caller —
-/// or the chaos suite — can see exactly which failures were absorbed.
+/// or the chaos suite — can see exactly which failures were absorbed. An
+/// attempt fires faults on its own view of `SolvePolicy::faults`
+/// (`FaultInjector::Scope`), so its fault count and latency charge are its
+/// own even when concurrent solves share the injector.
 /// When `QuantumMqoOptions::trace` is set, the orchestrator additionally
 /// emits one `solve.attempt` span per ladder attempt (tags: rung, backend,
 /// attempt, status code, backoff, faults) with the pipeline's stage spans
@@ -203,11 +213,12 @@ class ResilientSolver {
                     const QuantumMqoOptions& options) const;
 
   /// Solves a bare QUBO (no MQO structure, no embedding) through the same
-  /// degradation ladder, retry budget, deadline accounting, backoff, gate,
-  /// fault sites, and trace spans as `Solve`. The device rung cannot run
-  /// without an embedded MQO problem, so it is gated with a typed
-  /// `Unimplemented` (one attempt-0 record, no retry budget burned) and the
-  /// ladder enters at SQA. Each sampler's best read is refined by a
+  /// runner as `Solve`: one degradation ladder, retry budget, deadline
+  /// accounting, backoff, gate, fault sites, and trace spans. The device
+  /// rung cannot run without an embedded MQO problem, so it is gated with a
+  /// typed `Unimplemented` (one attempt-0 record, no retry budget burned)
+  /// and the ladder enters at SQA; as the last resort it fails with the
+  /// same typed status. Each sampler's best read is refined by a
   /// deterministic best-improvement single-flip descent; the greedy last
   /// resort is that descent from all-zeros, which always answers. The
   /// winning assignment and energy come back in

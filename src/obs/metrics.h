@@ -5,13 +5,15 @@
 /// The unified metrics surface: named counters, gauges, and fixed-bucket
 /// histograms with one deterministic snapshot/exposition path.
 ///
-/// Before this layer each subsystem kept its own ad-hoc counters
-/// (`ServiceStats` fields, embedding-cache atomics, fault-site counts,
-/// breaker windows). A `MetricsRegistry` replaces that with one surface:
-/// components register metrics by name once (cheap pointer handles), hot
-/// paths update them lock-free, and `Collect()` produces a snapshot whose
-/// exposition (Prometheus text or JSON) is *deterministically ordered* and
-/// — given deterministic inputs — byte-identical at any thread count.
+/// Before this layer each subsystem kept its own ad-hoc counters (service
+/// request counts, embedding-cache atomics, fault-site counts, breaker
+/// windows). A `MetricsRegistry` replaces that with one surface, and for
+/// the solve service it is the only counter store (no stats struct copies
+/// it): components register metrics by name once (cheap pointer handles),
+/// hot paths update them lock-free, and `Collect()` produces a snapshot
+/// whose exposition (Prometheus text or JSON) is *deterministically
+/// ordered* and — given deterministic inputs — byte-identical at any
+/// thread count.
 ///
 /// Determinism is a design constraint, not an accident:
 ///  * **Counters** accumulate int64 across a fixed number of shards

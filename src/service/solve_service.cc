@@ -66,6 +66,67 @@ struct RoundSlot {
   int root_span = -1;
 };
 
+// A workload request: no embedding exists for a bare QUBO, so admission
+// degrades the entry rung past the device exactly as for an MQO request
+// whose embedding did not fit, and SolveQubo's own gate records the typed
+// skip.
+Result<QueuedRequest> WorkloadRequest(
+    std::shared_ptr<const workloads::Workload> workload) {
+  if (workload == nullptr) return Status::InvalidArgument("null workload");
+  QueuedRequest request;
+  request.workload = std::move(workload);
+  return request;
+}
+
+// Parses a wire payload into a request. Dispatch is on the request-type tag
+// (the first token of the first non-blank, non-comment line): "mqo" and
+// "workload" route to their parsers; anything else is a typed
+// InvalidArgument — an unknown tag must never fall through into a format
+// parser whose errors would misreport it as a malformed instance of the
+// wrong format.
+Result<QueuedRequest> ParseRequest(const std::string& text,
+                                   const chimera::ChimeraGraph* graph) {
+  if (text.size() > kMaxSubmitTextBytes) {
+    return Status::InvalidArgument(
+        StrFormat("oversized payload: %zu bytes (limit %zu)", text.size(),
+                  kMaxSubmitTextBytes));
+  }
+  const std::string tag = LeadingRequestTag(text);
+  if (tag == "workload") {
+    QMQO_ASSIGN_OR_RETURN(workloads::WorkloadSpec spec,
+                          workloads::FromText(text));
+    QMQO_ASSIGN_OR_RETURN(std::shared_ptr<workloads::Workload> workload,
+                          workloads::MakeWorkload(spec));
+    return WorkloadRequest(std::move(workload));
+  }
+  if (tag != "mqo") {
+    return Status::InvalidArgument(StrFormat(
+        "unknown request type tag '%s' (expected 'mqo' or 'workload')",
+        tag.c_str()));
+  }
+  QueuedRequest request;
+  QMQO_ASSIGN_OR_RETURN(request.problem, mqo::FromText(text));
+  const mqo::MqoProblem& problem = request.problem;
+  // Re-derive the embedding from the instance's cluster structure — the
+  // same construction the paper workload uses, so a round-tripped payload
+  // gets a bit-identical device layout. No fit is not a rejection: the
+  // request enters the ladder at the first classical rung instead.
+  if (graph != nullptr && problem.num_queries() > 0) {
+    std::vector<int> cluster_sizes(
+        static_cast<size_t>(problem.num_queries()));
+    for (int q = 0; q < problem.num_queries(); ++q) {
+      cluster_sizes[static_cast<size_t>(q)] = problem.num_plans_of(q);
+    }
+    Result<embedding::Embedding> embedded =
+        embedding::ClusteredEmbedder::Embed(cluster_sizes, *graph);
+    if (embedded.ok()) {
+      request.embedding = std::move(embedded).value();
+      request.has_embedding = true;
+    }
+  }
+  return request;
+}
+
 }  // namespace
 
 SolveService::SolveService(const ServiceOptions& options)
@@ -191,43 +252,43 @@ void SolveService::RegisterMetrics() {
   }
 }
 
-ServiceStats SolveService::stats() const {
-  ServiceStats s;
-  s.submitted = m_submitted_->Value();
-  s.accepted = m_accepted_->Value();
-  s.rejected_invalid = m_rejected_invalid_->Value();
-  s.rejected_queue_full = m_rejected_queue_full_->Value();
-  s.rejected_shutdown = m_rejected_shutdown_->Value();
-  s.completed_ok = m_completed_ok_->Value();
-  s.completed_failed = m_completed_failed_->Value();
-  s.expired_in_queue = m_expired_in_queue_->Value();
-  s.drained_failfast = m_drained_failfast_->Value();
-  s.shed_degraded = m_shed_degraded_->Value();
-  s.breaker_skips = m_breaker_skips_->Value();
-  s.faults_observed = m_faults_observed_->Value();
-  for (int b = 0; b < 4; ++b) s.answered_by[b] = m_answered_by_[b]->Value();
-  s.rounds = m_rounds_->Value();
-  s.modeled_ms = m_modeled_clock_->Value();
-  return s;
+int64_t SolveService::in_flight() const {
+  return m_accepted_->Value() -
+         (m_completed_ok_->Value() + m_completed_failed_->Value() +
+          m_expired_in_queue_->Value() + m_drained_failfast_->Value());
 }
 
-Result<uint64_t> SolveService::Enqueue(QueuedRequest request) {
+Result<uint64_t> SolveService::Admit(Result<QueuedRequest> request,
+                                     RequestPriority priority,
+                                     double deadline_ms) {
   std::lock_guard<std::mutex> lock(mutex_);
   m_submitted_->Increment();
+  if (!request.ok()) {
+    m_rejected_invalid_->Increment();
+    return request.status();
+  }
   if (!accepting_) {
     m_rejected_shutdown_->Increment();
     return Status::Unavailable("service is shut down");
   }
-  request.id = next_id_;
-  request.submit_ms = clock_ms_;
-  Status pushed = queue_.Push(std::move(request));
+  QueuedRequest& admitted = *request;
+  admitted.priority = priority;
+  admitted.deadline_ms =
+      deadline_ms < 0.0 ? options_.default_deadline_ms : deadline_ms;
+  admitted.id = next_id_;
+  admitted.submit_ms = clock_ms_;
+  obs::Counter* kind_counter =
+      admitted.workload != nullptr
+          ? m_workload_accepted_[static_cast<size_t>(admitted.workload->kind())]
+          : nullptr;
+  Status pushed = queue_.Push(std::move(admitted));
   if (!pushed.ok()) {
     m_rejected_queue_full_->Increment();
     return pushed;
   }
-  uint64_t id = next_id_++;
   m_accepted_->Increment();
-  return id;
+  if (kind_counter != nullptr) kind_counter->Increment();
+  return next_id_++;
 }
 
 Result<uint64_t> SolveService::Submit(mqo::MqoProblem problem,
@@ -235,127 +296,24 @@ Result<uint64_t> SolveService::Submit(mqo::MqoProblem problem,
                                       RequestPriority priority,
                                       double deadline_ms) {
   Status valid = problem.Validate();
-  if (!valid.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return valid;
-  }
+  if (!valid.ok()) return Admit(std::move(valid), priority, deadline_ms);
   QueuedRequest request;
-  request.priority = priority;
-  request.deadline_ms =
-      deadline_ms < 0.0 ? options_.default_deadline_ms : deadline_ms;
+  request.has_embedding = embedding.num_vars() == problem.num_plans();
   request.problem = std::move(problem);
-  request.has_embedding = embedding.num_vars() == request.problem.num_plans();
   request.embedding = std::move(embedding);
-  return Enqueue(std::move(request));
+  return Admit(std::move(request), priority, deadline_ms);
 }
 
 Result<uint64_t> SolveService::SubmitText(const std::string& text,
                                           RequestPriority priority,
                                           double deadline_ms) {
-  // Dispatch on the request-type tag (the first token of the first
-  // non-blank, non-comment line): "mqo" and "workload" route to their
-  // parsers; anything else is a typed InvalidArgument — an unknown tag
-  // must never fall through into a format parser whose errors would
-  // misreport it as a malformed instance of the wrong format.
-  if (text.size() > kMaxSubmitTextBytes) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return Status::InvalidArgument(
-        StrFormat("oversized payload: %zu bytes (limit %zu)", text.size(),
-                  kMaxSubmitTextBytes));
-  }
-  const std::string tag = LeadingRequestTag(text);
-  if (tag == "workload") {
-    Result<workloads::WorkloadSpec> spec = workloads::FromText(text);
-    if (!spec.ok()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      m_submitted_->Increment();
-      m_rejected_invalid_->Increment();
-      return spec.status();
-    }
-    Result<std::shared_ptr<workloads::Workload>> made =
-        workloads::MakeWorkload(*spec);
-    if (!made.ok()) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      m_submitted_->Increment();
-      m_rejected_invalid_->Increment();
-      return made.status();
-    }
-    return SubmitWorkload(std::move(made).value(), priority, deadline_ms);
-  }
-  if (tag != "mqo") {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return Status::InvalidArgument(StrFormat(
-        "unknown request type tag '%s' (expected 'mqo' or 'workload')",
-        tag.c_str()));
-  }
-  Result<mqo::MqoProblem> parsed = mqo::FromText(text);
-  if (!parsed.ok()) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return parsed.status();
-  }
-  mqo::MqoProblem problem = std::move(parsed).value();
-  // Re-derive the embedding from the instance's cluster structure — the
-  // same construction the paper workload uses, so a round-tripped payload
-  // gets a bit-identical device layout. No fit is not a rejection: the
-  // request enters the ladder at the first classical rung instead.
-  embedding::Embedding embedding(0);
-  bool has_embedding = false;
-  if (options_.graph != nullptr && problem.num_queries() > 0) {
-    std::vector<int> cluster_sizes(
-        static_cast<size_t>(problem.num_queries()));
-    for (int q = 0; q < problem.num_queries(); ++q) {
-      cluster_sizes[static_cast<size_t>(q)] = problem.num_plans_of(q);
-    }
-    Result<embedding::Embedding> embedded =
-        embedding::ClusteredEmbedder::Embed(cluster_sizes, *options_.graph);
-    if (embedded.ok()) {
-      embedding = std::move(embedded).value();
-      has_embedding = true;
-    }
-  }
-  QueuedRequest request;
-  request.priority = priority;
-  request.deadline_ms =
-      deadline_ms < 0.0 ? options_.default_deadline_ms : deadline_ms;
-  request.problem = std::move(problem);
-  request.embedding = std::move(embedding);
-  request.has_embedding = has_embedding;
-  return Enqueue(std::move(request));
+  return Admit(ParseRequest(text, options_.graph), priority, deadline_ms);
 }
 
 Result<uint64_t> SolveService::SubmitWorkload(
     std::shared_ptr<const workloads::Workload> workload,
     RequestPriority priority, double deadline_ms) {
-  if (workload == nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_submitted_->Increment();
-    m_rejected_invalid_->Increment();
-    return Status::InvalidArgument("null workload");
-  }
-  const int kind = static_cast<int>(workload->kind());
-  QueuedRequest request;
-  request.priority = priority;
-  request.deadline_ms =
-      deadline_ms < 0.0 ? options_.default_deadline_ms : deadline_ms;
-  // No embedding exists for a bare QUBO: admission degrades the entry rung
-  // past the device exactly as for an MQO request whose embedding did not
-  // fit, and SolveQubo's own gate records the typed skip.
-  request.has_embedding = false;
-  request.workload = std::move(workload);
-  Result<uint64_t> id = Enqueue(std::move(request));
-  if (id.ok() && kind >= 0 && kind < 3) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    m_workload_accepted_[kind]->Increment();
-  }
-  return id;
+  return Admit(WorkloadRequest(std::move(workload)), priority, deadline_ms);
 }
 
 int SolveService::ProcessRound() {

@@ -8,13 +8,15 @@
 /// long-running service loop with the operational behaviors a shared MQO
 /// endpoint needs:
 ///
-///  * **Admission control.** Requests arrive through `Submit` /
-///    `SubmitText` (the v1 wire format) into a bounded two-lane queue
-///    (`BoundedRequestQueue`); when it is full, submission is rejected with
-///    `ResourceExhausted` instead of buffering unboundedly. Invalid
-///    payloads are rejected with `InvalidArgument`; a shut-down service
-///    rejects with `Unavailable`. Every rejection is a typed `Status` and a
-///    counter — overload is observable, never an abort.
+///  * **Admission control.** Requests arrive through `Submit`,
+///    `SubmitText` (the v1 wire formats) or `SubmitWorkload`; each builds a
+///    queued request and passes one admission step into a bounded two-lane
+///    queue (`BoundedRequestQueue`). When the queue is full, submission is
+///    rejected with `ResourceExhausted` instead of buffering unboundedly.
+///    Invalid payloads are rejected with `InvalidArgument`; a shut-down
+///    service rejects with `Unavailable`. Every rejection is a typed
+///    `Status` and a registry counter — overload is observable, never an
+///    abort.
 ///  * **Circuit breakers.** Each ladder backend owns a `CircuitBreaker`.
 ///    Attempt outcomes (including modeled-latency SLA violations) feed the
 ///    breaker on the serial commit path; open breakers cause subsequent
@@ -34,8 +36,8 @@
 ///  * **Drain / shutdown.** `Shutdown(/*graceful=*/true)` solves everything
 ///    queued, then stops accepting; fail-fast shutdown fails queued
 ///    requests with `Unavailable` (`drained_failfast`). Either way
-///    `stats().in_flight() == 0` afterwards — zero leaked requests is
-///    checkable arithmetic.
+///    `in_flight() == 0` afterwards — zero leaked requests is checkable
+///    arithmetic over the registry's admission and settle counters.
 ///
 /// Determinism contract (the same discipline as the rest of the repo):
 /// scheduling runs in *rounds*. Round formation, deadline expiry, shed
@@ -68,7 +70,6 @@
 #include "obs/trace.h"
 #include "service/circuit_breaker.h"
 #include "service/request_queue.h"
-#include "service/service_stats.h"
 #include "util/status.h"
 #include "workloads/workload.h"
 
@@ -218,18 +219,21 @@ class SolveService {
   /// Outcomes in settle order (round by round, index order within rounds).
   const std::vector<SolveOutcome>& outcomes() const { return outcomes_; }
 
-  /// Snapshot of the service counters, synthesized from the metrics
-  /// registry (the counters live there; this struct is the stable
-  /// accessor API). Returned by value — bind to `const ServiceStats&` or
-  /// copy.
-  ServiceStats stats() const;
+  /// Accepted requests not yet settled, from the registry counters:
+  /// `accepted` minus the settled verdicts (ok, failed, expired_in_queue,
+  /// drained_failfast). Every accepted request settles exactly once, so
+  /// this is 0 after a drain or a shutdown — the zero-leak contract.
+  int64_t in_flight() const;
 
-  /// The unified metrics registry: every ServiceStats counter plus
-  /// queue-wait/solve latency histograms, breaker state, fault-site
-  /// counts, and embedding-cache stats (the last three mirrored by
-  /// collectors at snapshot time). Call `Collect()` / `PrometheusText()` /
-  /// `JsonText()` from the serial scheduling thread — breaker state is
-  /// externally synchronized.
+  /// The unified metrics registry, the one store of every service counter:
+  /// submissions, acceptances and rejections by reason, settles by
+  /// verdict, shed and breaker-skip counts, answers by backend, accepted
+  /// workloads by kind, rounds, the modeled clock, and the queue-wait and
+  /// solve latency histograms — plus breaker state, fault-site counts, and
+  /// embedding-cache stats, mirrored by collectors at snapshot time. Read a
+  /// counter with `metrics().counter(name)->Value()`. Call `Collect()` /
+  /// `PrometheusText()` / `JsonText()` from the serial scheduling thread —
+  /// breaker state is externally synchronized.
   obs::MetricsRegistry& metrics() { return registry_; }
 
   /// The modeled service clock, milliseconds since construction.
@@ -242,7 +246,13 @@ class SolveService {
   const BoundedRequestQueue& queue() const { return queue_; }
 
  private:
-  Result<uint64_t> Enqueue(QueuedRequest request);
+  /// The one admission path behind every `Submit*`: counts the submission,
+  /// turns an unbuildable request into a counted `InvalidArgument`
+  /// rejection, applies the default deadline, and enqueues — counting the
+  /// acceptance (and a workload's kind) or the rejection reason under one
+  /// lock.
+  Result<uint64_t> Admit(Result<QueuedRequest> request,
+                         RequestPriority priority, double deadline_ms);
   /// Creates every registry-backed counter/gauge/histogram handle and
   /// registers the breaker/fault/cache collectors. Constructor-only.
   void RegisterMetrics();
@@ -251,9 +261,10 @@ class SolveService {
   BoundedRequestQueue queue_;
   /// One breaker per harness::SolveBackend value, indexed by the enum.
   CircuitBreaker breakers_[4];
-  /// The single snapshot surface for every service counter. Handles below
-  /// are stable pointers into it, created once at construction; all
-  /// updates happen on the serial admission/commit paths.
+  /// The single store and snapshot surface for every service counter.
+  /// Handles below are stable pointers into it, created once at
+  /// construction; all updates happen on the serial admission/commit
+  /// paths.
   obs::MetricsRegistry registry_;
   obs::Counter* m_submitted_ = nullptr;
   obs::Counter* m_accepted_ = nullptr;
@@ -279,7 +290,7 @@ class SolveService {
   uint64_t next_id_ = 1;
   int64_t round_index_ = 0;
   bool accepting_ = true;
-  /// Guards admission bookkeeping (stats, clock reads, id assignment)
+  /// Guards admission bookkeeping (counters, clock reads, id assignment)
   /// against concurrent submitters.
   mutable std::mutex mutex_;
 };

@@ -75,7 +75,11 @@ bool FaultInjector::ShouldFail(const char* site, uint64_t key) const {
   for (size_t i = 0; i < sites_.size(); ++i) {
     if (std::strcmp(sites_[i].name.c_str(), site) != 0) continue;
     if (!Decide(sites_[i], key)) return false;
-    counts_[i].fetch_add(1, std::memory_order_relaxed);
+    // A view's sites mirror its parent's in arming order, so index i names
+    // the same site all the way up the chain.
+    for (const FaultInjector* f = this; f != nullptr; f = f->parent_) {
+      f->counts_[i].fetch_add(1, std::memory_order_relaxed);
+    }
     if (sites_[i].spec.sleep && sites_[i].spec.latency_ms > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           sites_[i].spec.latency_ms));
@@ -130,6 +134,14 @@ int64_t FaultInjector::FaultCount(const std::string& site) const {
     }
   }
   return 0;
+}
+
+std::unique_ptr<FaultInjector> FaultInjector::Scope() const {
+  auto view = std::make_unique<FaultInjector>(seed_);
+  view->parent_ = this;
+  view->sites_ = sites_;
+  for (size_t i = 0; i < sites_.size(); ++i) view->counts_.emplace_back(0);
+  return view;
 }
 
 std::vector<std::pair<std::string, int64_t>> FaultInjector::Counts() const {

@@ -56,6 +56,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -143,6 +144,14 @@ class FaultInjector {
   /// (site, count) for every armed site, in arming order.
   std::vector<std::pair<std::string, int64_t>> Counts() const;
 
+  /// A scoped view of this injector: the same seed and armed sites, so it
+  /// decides exactly as this injector does, but with counters of its own
+  /// (each firing also counts here). A call that shares this injector
+  /// with concurrent calls hands a view down and reads its own firings
+  /// from the view, never as deltas of the shared counters. The view must
+  /// not outlive this injector; neither may be re-armed while it exists.
+  std::unique_ptr<FaultInjector> Scope() const;
+
  private:
   struct Site {
     std::string name;
@@ -154,6 +163,9 @@ class FaultInjector {
   bool Decide(const Site& site, uint64_t key) const;
 
   uint64_t seed_;
+  /// Set on a `Scope()` view: the injector whose counters also count
+  /// every firing of this one.
+  const FaultInjector* parent_ = nullptr;
   std::vector<Site> sites_;
   /// Parallel to `sites_`; deque so elements stay put as sites are armed.
   mutable std::deque<std::atomic<int64_t>> counts_;

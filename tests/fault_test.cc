@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,32 @@ TEST(FaultInjectorTest, SitesDrawIndependentStreams) {
     if (faults.WouldFail("x", key) != faults.WouldFail("y", key)) ++differs;
   }
   EXPECT_GT(differs, 0);
+}
+
+// A scoped view decides exactly as its parent, counts only its own
+// firings, and adds each firing to the parent's counters too.
+TEST(FaultInjectorTest, ScopedViewCountsItsOwnFiringsAndItsParents) {
+  util::FaultSpec spec;
+  spec.probability = 0.5;
+  util::FaultInjector parent(ChaosSeed());
+  parent.Arm("x", spec);
+  parent.Arm("y", spec);
+  std::unique_ptr<util::FaultInjector> view = parent.Scope();
+  std::unique_ptr<util::FaultInjector> other = parent.Scope();
+  int64_t fired_x = 0;
+  int64_t fired_y = 0;
+  for (uint64_t key = 0; key < 256; ++key) {
+    EXPECT_EQ(view->WouldFail("x", key), parent.WouldFail("x", key)) << key;
+    if (view->ShouldFail("x", key)) ++fired_x;
+    if (other->ShouldFail("y", key)) ++fired_y;
+  }
+  EXPECT_GT(fired_x, 0);
+  EXPECT_EQ(view->FaultCount("x"), fired_x);
+  EXPECT_EQ(view->FaultCount("y"), 0);
+  EXPECT_EQ(view->faults_injected(), fired_x);
+  EXPECT_EQ(other->faults_injected(), fired_y);
+  EXPECT_EQ(parent.FaultCount("x"), fired_x);
+  EXPECT_EQ(parent.FaultCount("y"), fired_y);
 }
 
 TEST(FaultInjectorTest, WouldFailDoesNotCount) {

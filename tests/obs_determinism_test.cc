@@ -133,8 +133,8 @@ TEST_F(ObsDeterminismTest, SnapshotsAndTracesAreIdenticalAcrossThreads) {
     dump.json = service.metrics().JsonText();
     dump.traces = tracer.DumpJsonLines(/*include_wall=*/false);
     dump.trace_count = tracer.size();
-    dump.settled = service.stats().settled();
-    EXPECT_EQ(service.stats().in_flight(), 0);
+    dump.settled = static_cast<int64_t>(service.outcomes().size());
+    EXPECT_EQ(service.in_flight(), 0);
     return dump;
   };
 

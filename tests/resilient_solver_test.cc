@@ -16,6 +16,8 @@
 #include "mqo/solution.h"
 #include "util/fault.h"
 #include "util/rng.h"
+#include "util/status.h"
+#include "workloads/max_clique.h"
 
 namespace qmqo {
 namespace harness {
@@ -296,6 +298,75 @@ TEST_F(ResilientSolverTest, CustomLadderIsHonored) {
   EXPECT_EQ(report.backend, SolveBackend::kSa);
   EXPECT_TRUE(
       mqo::ValidateSolution(instance_.problem, report.solution).ok());
+}
+
+// A bare QUBO has no device attempt. As the last resort the device rung is
+// never gated, so it runs and fails with a typed Unimplemented instead of
+// crashing or answering.
+TEST_F(ResilientSolverTest, BareQuboWithDeviceLastResortFailsTyped) {
+  auto clique = workloads::MaxCliqueWorkload::MakePlanted(12, 4, 0.35,
+                                                          ChaosSeed() + 50);
+  ASSERT_TRUE(clique.ok()) << clique.status().ToString();
+  util::FaultInjector faults(ChaosSeed());
+  util::FaultSpec always;
+  always.probability = 1.0;
+  faults.Arm("solve.sa", always);
+
+  SolvePolicy policy = QuickPolicy();
+  policy.faults = &faults;
+  policy.ladder = {SolveBackend::kSa, SolveBackend::kDevice};
+  SolveReport report =
+      ResilientSolver(policy).SolveQubo((*clique)->qubo(), SmallOptions());
+
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.final_status.code(), StatusCode::kUnimplemented)
+      << report.FailureChain();
+  ASSERT_FALSE(report.attempts.empty());
+  EXPECT_EQ(report.attempts.back().backend, SolveBackend::kDevice);
+  EXPECT_GE(report.attempts.back().attempt, 1);
+  EXPECT_TRUE(report.qubo_assignment.empty());
+}
+
+// MQO and bare-QUBO solves run one ladder: under the same classical ladder,
+// policy, and faults they take the same attempts, charge the same modeled
+// time, and count the same retries and fallbacks.
+TEST_F(ResilientSolverTest, MqoAndBareQuboShareTheLadder) {
+  auto clique = workloads::MaxCliqueWorkload::MakePlanted(12, 4, 0.35,
+                                                          ChaosSeed() + 51);
+  ASSERT_TRUE(clique.ok()) << clique.status().ToString();
+  util::FaultInjector faults(ChaosSeed());
+  util::FaultSpec once;
+  once.fail_first = 1;
+  once.latency_ms = 2.0;
+  faults.Arm("solve.sqa", once);
+
+  SolvePolicy policy = QuickPolicy();
+  policy.faults = &faults;
+  policy.backoff_initial_ms = 1.0;
+  policy.ladder = {SolveBackend::kSqa, SolveBackend::kSa,
+                   SolveBackend::kGreedy};
+  const SolveReport mqo = Run(policy);
+  const SolveReport bare =
+      ResilientSolver(policy).SolveQubo((*clique)->qubo(), SmallOptions());
+
+  ASSERT_TRUE(mqo.ok) << mqo.FailureChain();
+  ASSERT_TRUE(bare.ok) << bare.FailureChain();
+  ASSERT_EQ(mqo.attempts.size(), bare.attempts.size());
+  for (size_t i = 0; i < mqo.attempts.size(); ++i) {
+    const SolveAttempt& a = mqo.attempts[i];
+    const SolveAttempt& b = bare.attempts[i];
+    EXPECT_EQ(a.backend, b.backend) << i;
+    EXPECT_EQ(a.attempt, b.attempt) << i;
+    EXPECT_EQ(a.status.code(), b.status.code()) << i;
+    EXPECT_EQ(a.modeled_ms, b.modeled_ms) << i;
+    EXPECT_EQ(a.backoff_ms, b.backoff_ms) << i;
+  }
+  EXPECT_EQ(mqo.backend, SolveBackend::kSqa);
+  EXPECT_EQ(mqo.retries, 1);
+  EXPECT_EQ(mqo.retries, bare.retries);
+  EXPECT_EQ(mqo.fallbacks, bare.fallbacks);
+  EXPECT_GT(mqo.total_modeled_ms, 2.0);  // the fault's latency + backoff
+  EXPECT_EQ(mqo.total_modeled_ms, bare.total_modeled_ms);
 }
 
 TEST_F(ResilientSolverTest, BackendNamesAreStable) {

@@ -19,6 +19,7 @@
 #include "harness/resilient_solver.h"
 #include "mqo/serialization.h"
 #include "mqo/solution.h"
+#include "obs/metrics.h"
 #include "util/fault.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -34,6 +35,23 @@ uint64_t ChaosSeed() {
   const char* env = std::getenv("QMQO_CHAOS_SEED");
   if (env == nullptr || *env == '\0') return 1;
   return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+}
+
+// Reads the service counter `qmqo_service_<name>` from the metrics
+// registry, the one store of service counters; a missing name fails the
+// test instead of reading a freshly created zero.
+int64_t Count(SolveService& service, const std::string& name) {
+  const std::string full = "qmqo_service_" + name;
+  for (const obs::MetricPoint& point : service.metrics().Collect().points) {
+    if (point.name == full) return point.counter_value;
+  }
+  ADD_FAILURE() << "no counter " << full;
+  return -1;
+}
+
+int64_t Answered(SolveService& service, SolveBackend backend) {
+  return Count(service, StrFormat("answered_total{backend=\"%s\"}",
+                                  harness::SolveBackendName(backend)));
 }
 
 class SolveServiceTest : public ::testing::Test {
@@ -79,11 +97,10 @@ TEST_F(SolveServiceTest, DrainSolvesEverythingOnTheDevice) {
     EXPECT_EQ(*id, static_cast<uint64_t>(i + 1));
   }
   EXPECT_EQ(service.DrainAll(), 3);
-  const ServiceStats& stats = service.stats();
-  EXPECT_EQ(stats.accepted, 3);
-  EXPECT_EQ(stats.completed_ok, 3);
-  EXPECT_EQ(stats.answered_by[static_cast<int>(SolveBackend::kDevice)], 3);
-  EXPECT_EQ(stats.in_flight(), 0);
+  EXPECT_EQ(Count(service, "requests_accepted_total"), 3);
+  EXPECT_EQ(Count(service, "requests_settled_total{verdict=\"ok\"}"), 3);
+  EXPECT_EQ(Answered(service, SolveBackend::kDevice), 3);
+  EXPECT_EQ(service.in_flight(), 0);
   for (const SolveOutcome& outcome : service.outcomes()) {
     EXPECT_TRUE(outcome.status.ok()) << outcome.detail;
     EXPECT_EQ(outcome.backend, SolveBackend::kDevice);
@@ -136,8 +153,8 @@ TEST_F(SolveServiceTest, HostilePayloadIsRejectedNotCrashed) {
   auto bad = service.SubmitText("mqo v1\nquery nan\nend\n");
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(service.stats().rejected_invalid, 1);
-  EXPECT_EQ(service.stats().accepted, 0);
+  EXPECT_EQ(Count(service, "requests_rejected_total{reason=\"invalid\"}"), 1);
+  EXPECT_EQ(Count(service, "requests_accepted_total"), 0);
 }
 
 TEST_F(SolveServiceTest, FullQueueRejectsWithResourceExhausted) {
@@ -149,10 +166,11 @@ TEST_F(SolveServiceTest, FullQueueRejectsWithResourceExhausted) {
   auto rejected = service.Submit(instance_.problem, instance_.embedding);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(service.stats().rejected_queue_full, 1);
+  EXPECT_EQ(
+      Count(service, "requests_rejected_total{reason=\"queue_full\"}"), 1);
   // The two admitted requests still drain normally.
   EXPECT_EQ(service.DrainAll(), 2);
-  EXPECT_EQ(service.stats().in_flight(), 0);
+  EXPECT_EQ(service.in_flight(), 0);
 }
 
 TEST_F(SolveServiceTest, InteractiveLaneDequeuesAheadOfBatch) {
@@ -191,10 +209,11 @@ TEST_F(SolveServiceTest, QueueStallExpiresDeadlinedRequestsWithoutSolving) {
   ASSERT_TRUE(doomed.ok() && patient.ok());
   EXPECT_EQ(service.DrainAll(), 2);
 
-  const ServiceStats& stats = service.stats();
-  EXPECT_EQ(stats.expired_in_queue, 1);
-  EXPECT_EQ(stats.completed_ok, 1);
-  EXPECT_EQ(stats.in_flight(), 0);
+  EXPECT_EQ(
+      Count(service, "requests_settled_total{verdict=\"expired_in_queue\"}"),
+      1);
+  EXPECT_EQ(Count(service, "requests_settled_total{verdict=\"ok\"}"), 1);
+  EXPECT_EQ(service.in_flight(), 0);
   const SolveOutcome& expired = service.outcomes()[0];
   EXPECT_EQ(expired.id, *doomed);
   EXPECT_EQ(expired.status.code(), StatusCode::kTimeout);
@@ -214,9 +233,8 @@ TEST_F(SolveServiceTest, QueuePressureShedsTheEntryRung) {
   ASSERT_EQ(service.ProcessRound(), 4);
   // All four were claimed by an overfilled round: device rung shed, SQA
   // answers, requests still complete.
-  EXPECT_EQ(service.stats().shed_degraded, 4);
-  EXPECT_EQ(service.stats().answered_by[static_cast<int>(SolveBackend::kSqa)],
-            4);
+  EXPECT_EQ(Count(service, "shed_degraded_total"), 4);
+  EXPECT_EQ(Answered(service, SolveBackend::kSqa), 4);
   for (const SolveOutcome& outcome : service.outcomes()) {
     EXPECT_TRUE(outcome.status.ok()) << outcome.detail;
     EXPECT_EQ(outcome.entry_rung, 1);
@@ -225,8 +243,7 @@ TEST_F(SolveServiceTest, QueuePressureShedsTheEntryRung) {
   // Pressure gone: the next request gets the full ladder again.
   ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
   ASSERT_EQ(service.ProcessRound(), 1);
-  EXPECT_EQ(
-      service.stats().answered_by[static_cast<int>(SolveBackend::kDevice)], 1);
+  EXPECT_EQ(Answered(service, SolveBackend::kDevice), 1);
   EXPECT_EQ(service.outcomes()[4].entry_rung, 0);
 }
 
@@ -254,11 +271,11 @@ TEST_F(SolveServiceTest, BreakerOpensOnDeviceFailuresThenRecovers) {
   }
   EXPECT_EQ(service.breaker(SolveBackend::kDevice).state(),
             BreakerState::kOpen);
-  EXPECT_EQ(service.stats().completed_ok, 3);  // SQA absorbed everything
-  EXPECT_EQ(service.stats().answered_by[static_cast<int>(SolveBackend::kSqa)],
-            3);
+  // SQA absorbed everything.
+  EXPECT_EQ(Count(service, "requests_settled_total{verdict=\"ok\"}"), 3);
+  EXPECT_EQ(Answered(service, SolveBackend::kSqa), 3);
   EXPECT_EQ(service.outcomes()[2].breaker_skips, 1);
-  EXPECT_EQ(service.stats().breaker_skips, 1);
+  EXPECT_EQ(Count(service, "breaker_skips_total"), 1);
 
   // The device comes back; queue stalls advance the modeled clock past the
   // cooldown, the half-open probe succeeds, and the breaker closes.
@@ -275,8 +292,7 @@ TEST_F(SolveServiceTest, BreakerOpensOnDeviceFailuresThenRecovers) {
   EXPECT_EQ(service.breaker(SolveBackend::kDevice).state(),
             BreakerState::kClosed);
   EXPECT_GE(service.breaker(SolveBackend::kDevice).times_closed(), 1);
-  EXPECT_GE(
-      service.stats().answered_by[static_cast<int>(SolveBackend::kDevice)], 1);
+  EXPECT_GE(Answered(service, SolveBackend::kDevice), 1);
 }
 
 TEST_F(SolveServiceTest, WorkerCrashFaultFailsOnlyThatRequest) {
@@ -293,9 +309,9 @@ TEST_F(SolveServiceTest, WorkerCrashFaultFailsOnlyThatRequest) {
   EXPECT_EQ(service.DrainAll(), 2);
   EXPECT_EQ(service.outcomes()[0].status.code(), StatusCode::kInternal);
   EXPECT_TRUE(service.outcomes()[1].status.ok());
-  EXPECT_EQ(service.stats().completed_failed, 1);
-  EXPECT_EQ(service.stats().completed_ok, 1);
-  EXPECT_EQ(service.stats().in_flight(), 0);
+  EXPECT_EQ(Count(service, "requests_settled_total{verdict=\"failed\"}"), 1);
+  EXPECT_EQ(Count(service, "requests_settled_total{verdict=\"ok\"}"), 1);
+  EXPECT_EQ(service.in_flight(), 0);
 }
 
 TEST_F(SolveServiceTest, FailFastShutdownLeaksNothingAndStopsAdmission) {
@@ -307,10 +323,10 @@ TEST_F(SolveServiceTest, FailFastShutdownLeaksNothingAndStopsAdmission) {
   }
   ASSERT_EQ(service.ProcessRound(), 4);
   EXPECT_EQ(service.Shutdown(/*graceful=*/false), 1);
-  const ServiceStats& stats = service.stats();
-  EXPECT_EQ(stats.drained_failfast, 1);
-  EXPECT_EQ(stats.in_flight(), 0);  // the zero-leak invariant
-  EXPECT_EQ(stats.accepted, stats.settled());
+  EXPECT_EQ(
+      Count(service, "requests_settled_total{verdict=\"drained_failfast\"}"),
+      1);
+  EXPECT_EQ(service.in_flight(), 0);  // the zero-leak invariant
   EXPECT_EQ(service.outcomes().back().status.code(),
             StatusCode::kUnavailable);
   EXPECT_FALSE(service.accepting());
@@ -318,7 +334,8 @@ TEST_F(SolveServiceTest, FailFastShutdownLeaksNothingAndStopsAdmission) {
   auto late = service.Submit(instance_.problem, instance_.embedding);
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(service.stats().rejected_shutdown, 1);
+  EXPECT_EQ(
+      Count(service, "requests_rejected_total{reason=\"shutdown\"}"), 1);
 }
 
 TEST_F(SolveServiceTest, GracefulShutdownDrainsFirst) {
@@ -327,19 +344,78 @@ TEST_F(SolveServiceTest, GracefulShutdownDrainsFirst) {
     ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
   }
   EXPECT_EQ(service.Shutdown(/*graceful=*/true), 3);
-  EXPECT_EQ(service.stats().completed_ok, 3);
-  EXPECT_EQ(service.stats().drained_failfast, 0);
-  EXPECT_EQ(service.stats().in_flight(), 0);
+  EXPECT_EQ(Count(service, "requests_settled_total{verdict=\"ok\"}"), 3);
+  EXPECT_EQ(
+      Count(service, "requests_settled_total{verdict=\"drained_failfast\"}"),
+      0);
+  EXPECT_EQ(service.in_flight(), 0);
   EXPECT_FALSE(service.accepting());
+}
+
+// Fault accounting is per attempt. With device faults armed, the solves of
+// one round run concurrently on the same injector; each attempt must count
+// only its own firings and charge only its own injected latency. Device
+// fault keys do not depend on the request, so the outcomes — fault counts
+// and modeled charges included — must match at any worker count.
+TEST_F(SolveServiceTest, ConcurrentSolvesKeepTheirOwnFaultAccounting) {
+  auto run_with_threads = [&](int num_threads) {
+    util::FaultInjector faults(ChaosSeed());
+    util::FaultSpec latency;
+    latency.probability = 1.0;  // every programming cycle costs 1 ms
+    latency.latency_ms = 1.0;
+    faults.Arm("device.latency", latency);
+    util::FaultSpec program;
+    program.probability = 0.3;
+    faults.Arm("device.program", program);
+
+    ServiceOptions options = SmallServiceOptions();
+    options.faults = &faults;
+    options.num_threads = num_threads;
+    options.policy.max_attempts_per_backend = 2;
+    // Long enough device calls that a round's solves overlap in time.
+    options.pipeline.device.num_reads = 300;
+    options.pipeline.device.sa_sweeps = 64;
+    // Every request tries the device: no breaker may open and skip it.
+    options.breakers_enabled = false;
+    SolveService service(options);
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+    }
+    EXPECT_EQ(service.DrainAll(), 16);
+    std::vector<std::string> fingerprints;
+    for (const SolveOutcome& o : service.outcomes()) {
+      EXPECT_GT(o.faults_observed, 0) << o.detail;
+      fingerprints.push_back(StrFormat(
+          "id=%llu status=[%s] backend=%d cost=%.17g solve=%.17g "
+          "attempts=%d faults=%lld chain=%s",
+          static_cast<unsigned long long>(o.id), o.status.ToString().c_str(),
+          static_cast<int>(o.backend), o.cost, o.solve_modeled_ms, o.attempts,
+          static_cast<long long>(o.faults_observed), o.detail.c_str()));
+    }
+    fingerprints.push_back(service.metrics().JsonText());
+    return fingerprints;
+  };
+
+  const std::vector<std::string> serial = run_with_threads(1);
+  for (int threads : {2, 4}) {
+    const std::vector<std::string> parallel = run_with_threads(threads);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(parallel[i], serial[i]) << "threads=" << threads << " entry "
+                                        << i;
+    }
+  }
 }
 
 // The tentpole acceptance test: a full chaos run — queue stalls, worker
 // crashes, brownouts, a flaky device, deadline shedding, backoff — settles
 // every request with identical per-request outcomes and bit-identical
-// stats at 1, 2, and 4 worker threads.
+// metrics snapshots at 1, 2, and 4 worker threads.
 TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
   struct RunResult {
-    ServiceStats stats;
+    std::string metrics;
+    int64_t accepted = 0;
+    int64_t expired_in_queue = 0;
     std::vector<std::string> outcomes;
   };
   auto run_with_threads = [&](int num_threads) {
@@ -389,7 +465,10 @@ TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
     service.Shutdown(/*graceful=*/true);
 
     RunResult result;
-    result.stats = service.stats();
+    result.metrics = service.metrics().JsonText();
+    result.accepted = Count(service, "requests_accepted_total");
+    result.expired_in_queue =
+        Count(service, "requests_settled_total{verdict=\"expired_in_queue\"}");
     for (const SolveOutcome& o : service.outcomes()) {
       std::string selected;
       for (int q = 0; q < o.solution.num_queries(); ++q) {
@@ -404,18 +483,16 @@ TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
           o.solve_modeled_ms, o.attempts, o.breaker_skips,
           static_cast<long long>(o.faults_observed), selected.c_str()));
     }
-    EXPECT_EQ(result.stats.in_flight(), 0) << result.stats.ToString();
+    EXPECT_EQ(service.in_flight(), 0) << result.metrics;
     return result;
   };
 
   RunResult serial = run_with_threads(1);
-  EXPECT_GT(serial.stats.accepted, 0);
-  EXPECT_GT(serial.stats.expired_in_queue, 0);
+  EXPECT_GT(serial.accepted, 0);
+  EXPECT_GT(serial.expired_in_queue, 0);
   for (int threads : {2, 4}) {
     RunResult parallel = run_with_threads(threads);
-    EXPECT_TRUE(parallel.stats == serial.stats)
-        << "threads=" << threads << "\nserial:   " << serial.stats.ToString()
-        << "\nparallel: " << parallel.stats.ToString();
+    EXPECT_EQ(parallel.metrics, serial.metrics) << "threads=" << threads;
     ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
     for (size_t i = 0; i < serial.outcomes.size(); ++i) {
       EXPECT_EQ(parallel.outcomes[i], serial.outcomes[i])

@@ -608,11 +608,18 @@ TEST(ServiceWorkloadTest, UnknownRequestTagIsTypedRejectionWithCounter) {
     ASSERT_FALSE(id.ok()) << "accepted: " << payload;
     EXPECT_EQ(id.status().code(), StatusCode::kInvalidArgument) << payload;
     ++expected_invalid;
-    EXPECT_EQ(service.stats().rejected_invalid, expected_invalid) << payload;
+    EXPECT_EQ(service.metrics()
+                  .counter("qmqo_service_requests_rejected_total"
+                           "{reason=\"invalid\"}")
+                  ->Value(),
+              expected_invalid)
+        << payload;
   }
   // Nothing was enqueued; the queue never saw the hostile payloads.
   EXPECT_TRUE(service.queue().empty());
-  EXPECT_EQ(service.stats().accepted, 0);
+  EXPECT_EQ(
+      service.metrics().counter("qmqo_service_requests_accepted_total")->Value(),
+      0);
   // An oversized payload is rejected before any parsing.
   std::string oversized(size_t{17} << 20, 'x');
   Result<uint64_t> big = service.SubmitText(oversized);
