@@ -98,7 +98,8 @@ class SqaState {
 };
 
 /// The original slice loop: ascending spin order within each slice, lazy
-/// per-proposal draws, exact `std::exp`. Frozen — the SQA bit-exactness
+/// per-proposal draws, the exact Metropolis test (`MetropolisAccept`, which
+/// decides exactly as `std::exp` did). Frozen — the SQA bit-exactness
 /// reference.
 void ScalarStep(const qubo::IsingProblem& ising, SqaState* state, int n, int p,
                 double beta_slice, double j_perp, Rng* rng) {
@@ -118,7 +119,7 @@ void ScalarStep(const qubo::IsingProblem& ising, SqaState* state, int n, int p,
       double kinetic = 2.0 * j_perp * s_i * neighbors_sum;
       double total = delta + kinetic;
       if (total <= 0.0 ||
-          rng->UniformReal(0.0, 1.0) < std::exp(-beta_slice * total)) {
+          MetropolisAccept(rng->UniformReal(0.0, 1.0), beta_slice * total)) {
         state->Flip(k, i);
       }
     }
@@ -132,7 +133,7 @@ void ScalarStep(const qubo::IsingProblem& ising, SqaState* state, int n, int p,
       delta += state->ProblemDelta(k, i);
     }
     if (delta <= 0.0 ||
-        rng->UniformReal(0.0, 1.0) < std::exp(-beta_slice * delta)) {
+        MetropolisAccept(rng->UniformReal(0.0, 1.0), beta_slice * delta)) {
       for (int k = 0; k < p; ++k) {
         state->Flip(k, i);
       }
@@ -147,7 +148,8 @@ void ScalarStep(const qubo::IsingProblem& ising, SqaState* state, int n, int p,
 /// slices, which this slice's sweep never touches — making the fused
 /// decide-and-flip loop equivalent to an all-at-once class update. Global
 /// moves keep their sequential order (their deltas chain through shared
-/// neighbors) but draw uniforms batched. `fast` selects FastExp.
+/// neighbors) but draw uniforms batched. `fast` selects FastExp over the
+/// exact `MetropolisAccept`.
 void CheckerboardStep(SqaState* state, const qubo::Coloring& coloring, int n,
                       int p, double beta_slice, double j_perp, bool fast,
                       FastRng* rng, std::vector<double>* uniforms) {
@@ -167,10 +169,9 @@ void CheckerboardStep(SqaState* state, const qubo::Coloring& coloring, int n,
         double neighbors_sum =
             static_cast<double>(prev[i]) + static_cast<double>(next[i]);
         double total = delta + 2.0 * j_perp * s_i * neighbors_sum;
-        bool accept =
-            total <= 0.0 ||
-            u[m] < (fast ? FastExp(-beta_slice * total)
-                         : std::exp(-beta_slice * total));
+        bool accept = total <= 0.0 ||
+                      (fast ? u[m] < FastExp(-beta_slice * total)
+                            : MetropolisAccept(u[m], beta_slice * total));
         if (accept) state->Flip(k, i);
       }
     }
@@ -182,8 +183,8 @@ void CheckerboardStep(SqaState* state, const qubo::Coloring& coloring, int n,
       delta += state->ProblemDelta(k, i);
     }
     bool accept = delta <= 0.0 ||
-                  u[i] < (fast ? FastExp(-beta_slice * delta)
-                               : std::exp(-beta_slice * delta));
+                  (fast ? u[i] < FastExp(-beta_slice * delta)
+                        : MetropolisAccept(u[i], beta_slice * delta));
     if (accept) {
       for (int k = 0; k < p; ++k) {
         state->Flip(k, i);

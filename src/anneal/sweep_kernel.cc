@@ -10,10 +10,11 @@ namespace qmqo {
 namespace anneal {
 namespace {
 
-/// The original per-spin loop, byte-for-byte the pre-kernel-layer
-/// implementation: ascending spin order, lazy per-proposal draws, exact
-/// `std::exp`, incremental local fields. Its random stream is the frozen
-/// bit-exactness contract of the default path.
+/// The original per-spin loop, decision-for-decision the pre-kernel-layer
+/// implementation: ascending spin order, lazy per-proposal draws, the exact
+/// Metropolis test (`MetropolisAccept`: `std::exp` behind a screen that
+/// changes no decision), incremental local fields. Its random stream is the
+/// frozen bit-exactness contract of the default path.
 void ScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
                   int sweeps, Rng* rng, std::vector<int8_t>* spins) {
   const int n = ising.num_spins();
@@ -42,7 +43,7 @@ void ScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
       // field[i] has no self term, so the flip delta is exact.
       double delta = -2.0 * s_i * field[static_cast<size_t>(i)];
       if (delta <= 0.0 ||
-          rng->UniformReal(0.0, 1.0) < std::exp(-b * delta)) {
+          MetropolisAccept(rng->UniformReal(0.0, 1.0), b * delta)) {
         s[i] = static_cast<int8_t>(-s_i);
         double change = -2.0 * s_i;
         for (int32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
@@ -54,7 +55,7 @@ void ScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
 }
 
 /// The two-color sweep shared by `kCheckerboard` and `kCheckerboardFast`
-/// (`fast` selects FastExp and the large-argument reject cutoff). The
+/// (`fast` selects FastExp over the exact `MetropolisAccept`). The
 /// whole read runs in the plan's color-major permuted space — spins and
 /// fields are walked sequentially within a class, with no member
 /// indirection — and is permuted back into `spins` at the end. Per class:
@@ -135,7 +136,7 @@ void CheckerboardSweeps(const qubo::IsingProblem& ising, const SweepPlan& plan,
             double u_k = fast_rng.NextUniform();
             double delta = -2.0 * static_cast<double>(s[q]) *
                            field[static_cast<size_t>(q)];
-            if (delta <= 0.0 || u_k < std::exp(-b * delta)) flip(q);
+            if (delta <= 0.0 || MetropolisAccept(u_k, b * delta)) flip(q);
           }
         }
         continue;
@@ -159,7 +160,7 @@ void CheckerboardSweeps(const qubo::IsingProblem& ising, const SweepPlan& plan,
                 qubo::VarId q = begin_q + k;
                 double delta = -2.0 * static_cast<double>(s[q]) *
                                field[static_cast<size_t>(q)];
-                a[k] = delta <= 0.0 || u[k] < std::exp(-b * delta);
+                a[k] = delta <= 0.0 || MetropolisAccept(u[k], b * delta);
               }
             }
           });

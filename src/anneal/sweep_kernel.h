@@ -8,13 +8,13 @@
 /// and arithmetic for throughput:
 ///
 ///  * `kScalar` — the original per-spin loop, in ascending spin order with
-///    per-proposal RNG draws (`Rng::UniformReal`) and `std::exp`. This is
-///    the **bit-exact reference**: its random stream and results are frozen
-///    across PRs and identical at any thread count. The stream is still
-///    the standard library's 64-bit Mersenne Twister, value for value, but
-///    comes from the in-house `Mt19937_64` and the exact branch-free
-///    `UnitUniform` (util/rng.h), which cut a uniform draw from ~13.5 to
-///    ~3 ns (x86-64, -O3).
+///    per-proposal RNG draws (`Rng::UniformReal`) and the exact Metropolis
+///    test. This is the **bit-exact reference**: its random stream and
+///    results are frozen across PRs and identical at any thread count. The
+///    stream is still the standard library's 64-bit Mersenne Twister, value
+///    for value, but comes from the in-house `Mt19937_64` and the exact
+///    branch-free `UnitUniform` (util/rng.h), which cut a uniform draw from
+///    ~13.5 to ~3 ns (x86-64, -O3).
 ///  * `kCheckerboard` — a two-color ("checkerboard") sweep over the color
 ///    classes of `qubo::ColorGraph` (Chimera is bipartite, arbitrary CSR
 ///    graphs fall back to a greedy coloring). Within a class no spin's
@@ -22,20 +22,27 @@
 ///    per-class buffer up front and the decide loop runs with no loop-carried
 ///    dependency — parallelizable across a `util::Executor`
 ///    (`sweep_threads`) with bit-identical results at any thread count.
-///    Exact double-precision math (`std::exp`); the random stream differs
-///    from `kScalar` (batched draws, color order), so trajectories differ
-///    while energy quality is statistically equivalent.
+///    Exact double-precision math (the exact Metropolis test); the random
+///    stream differs from `kScalar` (batched draws, color order), so
+///    trajectories differ while energy quality is statistically equivalent.
 ///  * `kCheckerboardFast` — the same sweep with the fast-math opt-in:
 ///    acceptance probabilities from `FastExp` (bounded relative error
 ///    `kFastExpMaxRelError`, documented below) instead of `std::exp`. Still
 ///    deterministic per seed and thread count; NOT covered by the
 ///    bit-exactness contract of the default path.
 ///
+/// The exact Metropolis test is `MetropolisAccept` (below): it decides
+/// exactly `u < std::exp(-β·Δ)`, bit for bit, but a cubic lower bound on
+/// `e^{β·Δ}` rejects most uphill proposals before `std::exp` is called. Every
+/// exact site uses it — both `kScalar` and `kCheckerboard` loops here and
+/// the local and global moves of both exact SQA steps (anneal/sqa.cc).
+///
 /// Initialization pairs with the kernels: `kScalar` keeps the legacy
 /// one-`Bernoulli`-per-spin `RandomSpins`, the checkerboard kernels use
 /// `RandomSpinsBatched` (64 spins bit-unpacked per `Rng::Next` call), whose
 /// sequence is pinned by `tests/sweep_kernel_test.cc`.
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -112,6 +119,34 @@ inline double FastExp(double x) {
   double out;
   std::memcpy(&out, &bits, sizeof(out));
   return out;
+}
+
+/// The exact Metropolis test for an uphill proposal: returns exactly
+/// `u < std::exp(-bd)` for `bd = β·Δ >= 0`, but settles most proposals
+/// without calling `std::exp`.
+///
+/// Screen: `P = 1 + bd + bd²/2 + bd³/6` is a partial sum of the series of
+/// `e^bd` with non-negative terms, so `P <= e^bd` and `exp(-bd) <= 1/P`.
+/// When `u·P >= 1 + 1e-12`, u exceeds `exp(-bd)` and the proposal is a sure
+/// reject; otherwise the original expression decides.
+///
+/// Error analysis (double precision, ε = 2⁻⁵³): the Horner evaluation of
+/// `P` has only non-negative terms, so it is within a few ε of the exact
+/// cubic, and the product `u·P` adds one more rounding. A screened reject
+/// therefore has `u·P_exact > (1 + 1e-12)(1 - 8ε) > 1 + 2⁻⁵²`, i.e.
+/// `u > (1 + 2⁻⁵²)·exp(-bd)`, which is above glibc's `std::exp(-bd)` (error
+/// under 1 ulp <= 2⁻⁵²·exp(-bd) while the result is normal). The 1e-12
+/// margin is ~4500 times wider than the rounding it covers. When the
+/// result of `std::exp` would be subnormal (bd > ~708), any nonzero u
+/// (>= 2⁻⁶⁴ from every stream here) is above it anyway. Edge cases: `P`
+/// overflowing to inf rejects any u > 0, where `exp(-bd)` is 0; u == 0
+/// and NaN never pass the screen and fall through to `std::exp`. Callers
+/// that wrote `std::exp(-b * delta)` pass `b * delta`: IEEE multiplication
+/// is symmetric in sign, so `(-b) * delta == -(b * delta)` bit for bit.
+inline bool MetropolisAccept(double u, double bd) {
+  const double p = 1.0 + bd * (1.0 + bd * (0.5 + bd * (1.0 / 6.0)));
+  if (u * p >= 1.0 + 1e-12) return false;
+  return u < std::exp(-bd);
 }
 
 /// Per-problem precomputation shared by every read of a sampler call: the

@@ -67,7 +67,7 @@ class FaultInjector;
 namespace harness {
 
 /// The degradation ladder, cheapest last.
-enum class SolveBackend {
+enum class SolveBackend : uint8_t {
   kDevice,  ///< full quantum pipeline (embedding + device model)
   kSqa,     ///< simulated quantum annealing on the logical QUBO
   kSa,      ///< classical simulated annealing on the logical QUBO

@@ -494,7 +494,7 @@ int SolveService::ProcessRound() {
       m_completed_failed_->Increment();
       m_faults_observed_->Increment();
     } else {
-      const harness::SolveReport& report = slot.report;
+      harness::SolveReport& report = slot.report;
       // Breaker feedback: only attempts that actually ran (attempt >= 1)
       // are outcomes; gate skips (attempt 0) are counted as skips.
       for (const harness::SolveAttempt& attempt : report.attempts) {
@@ -511,11 +511,16 @@ int SolveService::ProcessRound() {
       outcome.status = report.final_status;
       outcome.backend = report.backend;
       outcome.cost = report.cost;
-      outcome.solution = report.solution;
+      outcome.solution = std::move(report.solution);
       outcome.solve_modeled_ms = report.total_modeled_ms;
       outcome.attempts = report.total_attempts;
       outcome.faults_observed = report.faults_observed;
-      outcome.detail = report.FailureChain();
+      // A first-attempt answer has nothing to explain; formatting its
+      // chain would cost every settled outcome a heap string.
+      const bool eventful = std::any_of(
+          report.attempts.begin(), report.attempts.end(),
+          [](const harness::SolveAttempt& a) { return !a.status.ok(); });
+      if (eventful) outcome.detail = report.FailureChain();
       if (slot.request.workload != nullptr) {
         outcome.workload_kind = slot.request.workload->kind();
         if (report.ok) {

@@ -127,41 +127,46 @@ struct ServiceOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-/// What the service settled for one accepted request.
+/// What the service settled for one accepted request. The service keeps
+/// every outcome it settles, so fields are ordered to leave no padding
+/// (176 bytes on x86-64 with libstdc++).
 struct SolveOutcome {
   uint64_t id = 0;
   /// OK when a backend answered; `Timeout` for queue expiry; `Unavailable`
   /// for fail-fast drain; otherwise the solve's final error.
   Status status;
-  /// The answering backend (meaningful when `status.ok()`).
-  harness::SolveBackend backend = harness::SolveBackend::kGreedy;
   double cost = 0.0;
   mqo::MqoSolution solution{0};
-  /// Ladder rung the request entered at (0 = full ladder).
-  int entry_rung = 0;
-  /// True when queue pressure or a brownout fault degraded the entry rung.
-  bool shed_degraded = false;
   /// Modeled milliseconds spent queued before scheduling (or expiry).
   double queue_wait_modeled_ms = 0.0;
   /// Modeled milliseconds the solve itself charged.
   double solve_modeled_ms = 0.0;
+  int64_t faults_observed = 0;
+  /// The solve's failure chain (`SolveReport::FailureChain`), kept only
+  /// when the chain holds a failed attempt or a breaker gate skip; empty
+  /// when the first attempt answered and when never scheduled.
+  std::string detail;
+  /// Workload requests only: the decoded domain solution (clique members /
+  /// cut sides / colors — always repaired to the domain by
+  /// `Workload::Decode`) and its optimality gap against the
+  /// generator-planted optimum. `cost` carries the raw QUBO energy of the
+  /// winning assignment. The formulated workload itself is not retained, so
+  /// settled outcomes stay small; a caller that wants to validate the
+  /// solution keeps its own instance.
+  workloads::WorkloadSolution workload_solution;
+  double workload_gap = 0.0;
+  /// Ladder rung the request entered at (0 = full ladder).
+  int entry_rung = 0;
   /// Solve attempts run (0 when never scheduled).
   int attempts = 0;
   /// Ladder rungs skipped on an open/half-open breaker.
   int breaker_skips = 0;
-  int64_t faults_observed = 0;
-  /// Human-readable failure chain of the solve (empty when unscheduled).
-  std::string detail;
-  /// Workload requests only: the request's kind (empty for MQO), the
-  /// decoded domain solution (clique members / cut sides / colors — always
-  /// repaired to the domain by `Workload::Decode`), and its optimality gap
-  /// against the generator-planted optimum. `cost` carries the raw QUBO
-  /// energy of the winning assignment. The formulated workload itself is
-  /// not retained, so settled outcomes stay small; a caller that wants to
-  /// validate the solution keeps its own instance.
+  /// The answering backend (meaningful when `status.ok()`).
+  harness::SolveBackend backend = harness::SolveBackend::kGreedy;
+  /// True when queue pressure or a brownout fault degraded the entry rung.
+  bool shed_degraded = false;
+  /// Workload requests only: the request's kind (empty for MQO).
   std::optional<workloads::WorkloadKind> workload_kind;
-  workloads::WorkloadSolution workload_solution;
-  double workload_gap = 0.0;
 };
 
 /// The service. `Submit*` is thread-safe; `ProcessRound` / `DrainAll` /

@@ -28,13 +28,18 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+const std::string& Status::EmptyMessage() {
+  static const std::string kEmpty;
+  return kEmpty;
+}
+
 std::string Status::ToString() const {
   if (ok()) {
     return "OK";
   }
   std::string out = StatusCodeToString(code_);
   out += ": ";
-  out += message_;
+  out += message();
   return out;
 }
 

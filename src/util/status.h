@@ -11,6 +11,7 @@
 /// a human-readable message.
 
 #include <cassert>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -39,14 +40,33 @@ const char* StatusCodeToString(StatusCode code);
 /// A default-constructed `Status` is OK. Error statuses carry a message
 /// describing what went wrong; callers are expected to check `ok()` (or use
 /// the QMQO_RETURN_IF_ERROR macro) before relying on any side effects.
+///
+/// Layout: a code plus an owned pointer to the message, allocated only for
+/// a non-empty message — 16 bytes on 64-bit targets, and an OK status never
+/// allocates. Settled service outcomes store one each, so the size counts.
 class Status {
  public:
   /// Constructs an OK status.
-  Status() : code_(StatusCode::kOk) {}
+  Status() = default;
 
   /// Constructs a status with an explicit code and message.
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : code_(code),
+        message_(message.empty()
+                     ? nullptr
+                     : std::make_unique<std::string>(std::move(message))) {}
+
+  Status(const Status& other)
+      : code_(other.code_),
+        message_(other.message_ == nullptr
+                     ? nullptr
+                     : std::make_unique<std::string>(*other.message_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) *this = Status(other);
+    return *this;
+  }
+  Status(Status&&) noexcept = default;
+  Status& operator=(Status&&) noexcept = default;
 
   /// Named constructors, one per error category.
   static Status OK() { return Status(); }
@@ -82,18 +102,23 @@ class Status {
   bool ok() const { return code_ == StatusCode::kOk; }
 
   StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  /// The message; a shared empty string when there is none.
+  const std::string& message() const {
+    return message_ == nullptr ? EmptyMessage() : *message_;
+  }
 
   /// Formats the status as "CODE: message" (or "OK").
   std::string ToString() const;
 
   bool operator==(const Status& other) const {
-    return code_ == other.code_ && message_ == other.message_;
+    return code_ == other.code_ && message() == other.message();
   }
 
  private:
-  StatusCode code_;
-  std::string message_;
+  static const std::string& EmptyMessage();
+
+  StatusCode code_ = StatusCode::kOk;
+  std::unique_ptr<std::string> message_;
 };
 
 /// The result of an operation that produces a `T` on success.

@@ -26,6 +26,7 @@
 ///    count); `ObjectiveSense` says which direction is better so gap
 ///    computation is uniform.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,7 +39,7 @@ namespace qmqo {
 namespace workloads {
 
 /// The supported workload families.
-enum class WorkloadKind {
+enum class WorkloadKind : uint8_t {
   kMaxClique = 0,
   kMaxCut = 1,
   kGraphColoring = 2,

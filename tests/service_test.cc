@@ -24,6 +24,7 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "workloads/workload.h"
 
 namespace qmqo {
 namespace service {
@@ -106,7 +107,38 @@ TEST_F(SolveServiceTest, DrainSolvesEverythingOnTheDevice) {
     EXPECT_EQ(outcome.backend, SolveBackend::kDevice);
     EXPECT_EQ(outcome.entry_rung, 0);
     EXPECT_FALSE(outcome.shed_degraded);
+    // A first-attempt answer has no failure chain to keep.
+    EXPECT_EQ(outcome.attempts, 1);
+    EXPECT_TRUE(outcome.detail.empty()) << outcome.detail;
   }
+}
+
+// The service keeps every settled outcome, so their size bounds its
+// memory under sustained load. Field order leaves no padding, the status
+// is a code plus a message pointer and the enums are one byte: 176 bytes
+// on x86-64 with libstdc++, down from 216.
+TEST(SolveOutcomeTest, StaysCompact) {
+  EXPECT_LE(sizeof(SolveOutcome), 176u);
+  EXPECT_EQ(sizeof(harness::SolveBackend), 1u);
+  EXPECT_EQ(sizeof(workloads::WorkloadKind), 1u);
+}
+
+TEST_F(SolveServiceTest, FailedAttemptKeepsItsChainInDetail) {
+  util::FaultInjector faults(ChaosSeed());
+  util::FaultSpec program;
+  program.probability = 1.0;  // every device call fails to program
+  faults.Arm("device.program", program);
+  ServiceOptions options = SmallServiceOptions();
+  options.faults = &faults;
+  SolveService service(options);
+  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+  ASSERT_EQ(service.DrainAll(), 1);
+  const SolveOutcome& outcome = service.outcomes()[0];
+  ASSERT_TRUE(outcome.status.ok()) << outcome.detail;
+  EXPECT_NE(outcome.backend, SolveBackend::kDevice);
+  EXPECT_EQ(outcome.detail.rfind("device#1: ", 0), 0u) << outcome.detail;
+  EXPECT_NE(outcome.detail.find(": OK (cost "), std::string::npos)
+      << outcome.detail;
 }
 
 // The no-fault, no-overload acceptance bar: a request routed through the

@@ -73,6 +73,23 @@ TEST(StatusTest, EqualityComparesCodeAndMessage) {
   EXPECT_EQ(Status(), Status::OK());
 }
 
+TEST(StatusTest, CopiesOwnTheirMessageAndMovesLeaveOk) {
+  Status original = Status::Internal("worker crashed");
+  Status copy = original;
+  EXPECT_EQ(copy, original);
+  EXPECT_NE(&copy.message(), &original.message());
+  Status assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.ToString(), "Internal: worker crashed");
+  Status moved = std::move(copy);
+  EXPECT_EQ(moved, original);
+  // A code without a message, and OK, read back an empty message.
+  EXPECT_EQ(Status(StatusCode::kTimeout, "").message(), "");
+  EXPECT_EQ(Status::OK().message(), "");
+  // Code plus one message pointer: settled service outcomes hold one each.
+  EXPECT_LE(sizeof(Status), 2 * sizeof(void*));
+}
+
 TEST(ResultTest, ValueRoundTrip) {
   Result<int> result = 42;
   ASSERT_TRUE(result.ok());

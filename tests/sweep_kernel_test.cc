@@ -1,5 +1,6 @@
 // Tests for the sweep-kernel layer: CSR graph coloring, the bit-exact vs
-// fast-math kernel contracts (FastExp error bound, frozen scalar stream,
+// fast-math kernel contracts (FastExp error bound, the screened exact
+// Metropolis test, frozen scalar streams against naive reference loops,
 // batched initialization pinning), field-update equivalence of the
 // checkerboard sweep, thread-count determinism, and energy-quality parity
 // of all three kernels on a 512-spin Chimera glass.
@@ -8,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "anneal/schedule.h"
@@ -194,6 +196,233 @@ TEST(FastExpTest, RealizedBetaDeltaRangeStaysInBound) {
     double exact = std::exp(x);
     EXPECT_LT(std::abs(FastExp(x) - exact) / exact, kFastExpMaxRelError)
         << "at x = " << x << " (hot " << hot << ", cold " << cold << ")";
+  }
+}
+
+// --------------------------------------------------------------------
+// MetropolisAccept: the screened exact test
+// --------------------------------------------------------------------
+
+/// The unscreened test every exact kernel ran before the screen.
+bool PlainAccept(double u, double bd) { return u < std::exp(-bd); }
+
+TEST(MetropolisAcceptTest, MatchesPlainTestOnTenMillionSeededPairs) {
+  // u from the kScalar stream's UnitUniform, bd log-uniform over
+  // [1e-6, 800] — past exp's underflow at ~745.
+  Rng rng(2024);
+  const double log_lo = std::log(1e-6);
+  const double log_hi = std::log(800.0);
+  int64_t mismatches = 0;
+  int64_t uphill_accepts = 0;
+  constexpr int64_t kPairs = 10'000'000;
+  for (int64_t k = 0; k < kPairs; ++k) {
+    const double u = UnitUniform(rng.Next());
+    const double bd =
+        std::exp(log_lo + (log_hi - log_lo) * UnitUniform(rng.Next()));
+    const bool expected = PlainAccept(u, bd);
+    mismatches += MetropolisAccept(u, bd) != expected;
+    uphill_accepts += expected;
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Both outcomes occur in bulk, so the comparison is not vacuous.
+  EXPECT_GT(uphill_accepts, kPairs / 10);
+  EXPECT_LT(uphill_accepts, kPairs * 9 / 10);
+}
+
+TEST(MetropolisAcceptTest, EdgeCasesMatchPlainTest) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kDenormal = std::numeric_limits<double>::denorm_min();
+  for (double u : {0.0, 0x1.0p-64, std::nextafter(1.0, 0.0)}) {
+    for (double bd : {0.0, kDenormal, 708.0, 745.2, 746.0, 1e300, kInf,
+                      kNan}) {
+      EXPECT_EQ(MetropolisAccept(u, bd), PlainAccept(u, bd))
+          << "u = " << u << ", bd = " << bd;
+    }
+  }
+}
+
+TEST(MetropolisAcceptTest, OneUlpAroundTheThresholdMatchesPlainTest) {
+  // u one ulp either side of exp(-bd): where the screen's margin matters.
+  // Small bd makes the cubic equal e^bd to the last bit, so u·P lands on
+  // 1 within rounding — a screen without its 1e-12 margin rejects some
+  // of these accepts.
+  std::vector<double> bds;
+  for (int k = 0; k <= 400; ++k) {
+    bds.push_back(1e-8 * std::pow(1e6, k / 400.0));  // [1e-8, 1e-2]
+  }
+  for (double bd : {0.5, 1.0, 3.0, 10.0, 100.0, 700.0, 708.0, 744.0}) {
+    bds.push_back(bd);
+  }
+  for (double bd : bds) {
+    const double threshold = std::exp(-bd);
+    for (double u : {std::nextafter(threshold, 0.0), threshold,
+                     std::nextafter(threshold, 1.0)}) {
+      EXPECT_EQ(MetropolisAccept(u, bd), PlainAccept(u, bd))
+          << "u = " << u << ", bd = " << bd;
+    }
+  }
+}
+
+/// The kScalar sweep as it read before the screen: ascending spin order,
+/// one UniformReal per uphill proposal, plain `std::exp`.
+void NaiveScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
+                       int sweeps, Rng* rng, std::vector<int8_t>* spins) {
+  const int n = ising.num_spins();
+  std::vector<double> field(static_cast<size_t>(n));
+  for (qubo::VarId i = 0; i < n; ++i) {
+    double f = ising.field(i);
+    for (auto [j, w] : ising.neighbors(i)) {
+      f += w * static_cast<double>((*spins)[static_cast<size_t>(j)]);
+    }
+    field[static_cast<size_t>(i)] = f;
+  }
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
+    double b = beta.At(sweep, sweeps);
+    for (qubo::VarId i = 0; i < n; ++i) {
+      double s_i = static_cast<double>((*spins)[static_cast<size_t>(i)]);
+      double delta = -2.0 * s_i * field[static_cast<size_t>(i)];
+      if (delta <= 0.0 ||
+          rng->UniformReal(0.0, 1.0) < std::exp(-b * delta)) {
+        (*spins)[static_cast<size_t>(i)] = static_cast<int8_t>(-s_i);
+        for (auto [j, w] : ising.neighbors(i)) {
+          field[static_cast<size_t>(j)] += w * (-2.0 * s_i);
+        }
+      }
+    }
+  }
+}
+
+/// The kScalar SQA sampler as it read before the screen, one read: the
+/// forked read stream, legacy initialization, slice-by-slice local moves
+/// then global moves with plain `std::exp`, and best-slice read-out.
+std::vector<int8_t> NaiveSqaRead(const qubo::IsingProblem& ising,
+                                 const SqaOptions& options, int read) {
+  const int n = ising.num_spins();
+  const int p = options.num_slices;
+  const double beta_slice = options.beta / static_cast<double>(p);
+  Rng read_rng = Rng(options.seed).Fork(static_cast<uint64_t>(read));
+  std::vector<int8_t> spins(static_cast<size_t>(p) * static_cast<size_t>(n));
+  RandomSpins(&read_rng, &spins);
+  auto at = [n](int k, qubo::VarId i) {
+    return static_cast<size_t>(k) * static_cast<size_t>(n) +
+           static_cast<size_t>(i);
+  };
+  std::vector<double> field(spins.size());
+  for (int k = 0; k < p; ++k) {
+    for (qubo::VarId i = 0; i < n; ++i) {
+      double f = ising.field(i);
+      for (auto [j, w] : ising.neighbors(i)) {
+        f += w * static_cast<double>(spins[at(k, j)]);
+      }
+      field[at(k, i)] = f;
+    }
+  }
+  auto delta_of = [&](int k, qubo::VarId i) {
+    return -2.0 * static_cast<double>(spins[at(k, i)]) * field[at(k, i)];
+  };
+  auto flip = [&](int k, qubo::VarId i) {
+    double change = -2.0 * static_cast<double>(spins[at(k, i)]);
+    spins[at(k, i)] = static_cast<int8_t>(-spins[at(k, i)]);
+    for (auto [j, w] : ising.neighbors(i)) field[at(k, j)] += w * change;
+  };
+  for (int step = 0; step < options.sweeps; ++step) {
+    double gamma = std::max(options.gamma.At(step, options.sweeps), 1e-9);
+    double j_perp = -0.5 / beta_slice * std::log(std::tanh(beta_slice * gamma));
+    for (int k = 0; k < p; ++k) {
+      for (qubo::VarId i = 0; i < n; ++i) {
+        double neighbors_sum =
+            static_cast<double>(spins[at((k + p - 1) % p, i)]) +
+            static_cast<double>(spins[at((k + 1) % p, i)]);
+        double total = delta_of(k, i) +
+                       2.0 * j_perp * static_cast<double>(spins[at(k, i)]) *
+                           neighbors_sum;
+        if (total <= 0.0 ||
+            read_rng.UniformReal(0.0, 1.0) < std::exp(-beta_slice * total)) {
+          flip(k, i);
+        }
+      }
+    }
+    for (qubo::VarId i = 0; i < n; ++i) {
+      double delta = 0.0;
+      for (int k = 0; k < p; ++k) delta += delta_of(k, i);
+      if (delta <= 0.0 ||
+          read_rng.UniformReal(0.0, 1.0) < std::exp(-beta_slice * delta)) {
+        for (int k = 0; k < p; ++k) flip(k, i);
+      }
+    }
+  }
+  double best_energy = std::numeric_limits<double>::infinity();
+  std::vector<int8_t> best;
+  for (int k = 0; k < p; ++k) {
+    std::vector<int8_t> slice(spins.begin() + static_cast<ptrdiff_t>(at(k, 0)),
+                              spins.begin() + static_cast<ptrdiff_t>(at(k, n)));
+    double energy = ising.Energy(slice);
+    if (energy < best_energy) {
+      best_energy = energy;
+      best = std::move(slice);
+    }
+  }
+  return best;
+}
+
+/// A Chimera problem with chains: every qubit of a unit cell's left shore
+/// is chained to its partner on the right shore by a strong ferromagnetic
+/// coupler, the way an embedding ties a logical variable's qubits
+/// together, over a weak random glass on the inter-cell couplers.
+qubo::IsingProblem ChainedChimeraProblem(int rows, int cols, Rng* rng) {
+  chimera::ChimeraGraph graph(rows, cols, 4);
+  qubo::IsingProblem ising(graph.num_qubits());
+  for (chimera::QubitId q = 0; q < graph.num_qubits(); ++q) {
+    ising.AddField(q, rng->UniformReal(-1.0, 1.0));
+    for (chimera::QubitId other : graph.Neighbors(q)) {
+      if (other <= q) continue;
+      // Qubit ids are cell * 8 + side * 4 + index.
+      const bool same_cell = q / 8 == other / 8;
+      double weight = rng->UniformReal(-1.0, 1.0);
+      if (same_cell) weight = other - q == 4 ? -6.0 : 0.5 * weight;
+      ising.AddCoupling(q, other, weight);
+    }
+  }
+  return ising;
+}
+
+TEST(MetropolisAcceptTest, ScalarKernelsEqualNaiveReferenceSpinForSpin) {
+  // The screen must leave kScalar's random stream and every decision
+  // untouched: RunSweeps(kScalar) and the SQA kScalar sampler equal the
+  // unscreened loops over 20 seeds, on a 512-spin glass and on a chained
+  // Chimera problem (whose chain couplers make large beta·delta common).
+  Rng build_rng(61);
+  qubo::IsingProblem glass = ChimeraGlass(8, 8, &build_rng);
+  qubo::IsingProblem chained = ChainedChimeraProblem(4, 4, &build_rng);
+  for (qubo::IsingProblem* ising : {&glass, &chained}) {
+    ising->Finalize();
+    auto [hot, cold] = SuggestBetaRange(*ising);
+    const Schedule beta{hot, cold, ScheduleShape::kGeometric};
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      std::vector<int8_t> spins(static_cast<size_t>(ising->num_spins()));
+      Rng init(seed);
+      RandomSpins(&init, &spins);
+      std::vector<int8_t> reference(spins);
+      Rng kernel_rng(seed * 7919), naive_rng(seed * 7919);
+      RunSweeps(*ising, nullptr, beta, 64, SweepKernel::kScalar, &kernel_rng,
+                &spins);
+      NaiveScalarSweeps(*ising, beta, 64, &naive_rng, &reference);
+      EXPECT_EQ(spins, reference) << "SA seed " << seed;
+      EXPECT_EQ(kernel_rng.Next(), naive_rng.Next())
+          << "SA seed " << seed << ": streams diverged";
+
+      SqaOptions options;
+      options.num_reads = 1;
+      options.num_slices = 4;
+      options.sweeps = 24;
+      options.seed = seed;
+      SampleSet samples = SimulatedQuantumAnnealer(options).SampleIsing(*ising);
+      ASSERT_EQ(samples.samples().size(), 1u);
+      EXPECT_EQ(samples.samples()[0].assignment.ToSpins(),
+                NaiveSqaRead(*ising, options, 0))
+          << "SQA seed " << seed;
+    }
   }
 }
 
