@@ -54,24 +54,97 @@ double ScaleFactor(const qubo::IsingProblem& ising, double h_range,
   return any ? scale : 1.0;
 }
 
-/// Returns `ising` scaled by `scale` with Gaussian control error applied:
-/// each h is perturbed by N(0, sigma*h_range), each J by N(0, sigma*j_range)
-/// — the per-programming "integrated control error" of the hardware.
-qubo::IsingProblem ScaleAndPerturb(const qubo::IsingProblem& ising,
-                                   double scale, double sigma, double h_range,
-                                   double j_range, Rng* rng) {
-  qubo::IsingProblem out(ising.num_spins());
-  for (qubo::VarId i = 0; i < ising.num_spins(); ++i) {
-    double h = ising.field(i) * scale;
-    if (sigma > 0.0) h += rng->Gaussian(0.0, sigma * h_range);
-    if (h != 0.0) out.AddField(i, h);
+/// One programmed gauge, reduced to flat arrays so that every gauge of a
+/// call stays programmed while the reads of all gauges run in one fan-out.
+struct ProgrammedGauge {
+  explicit ProgrammedGauge(GaugeTransform transform)
+      : gauge(std::move(transform)) {}
+
+  GaugeTransform gauge;
+  /// Gauged, scaled, perturbed fields (index = spin).
+  std::vector<double> fields;
+  /// Gauged, scaled, perturbed couplings laid over the converted problem's
+  /// CSR rows. A coupling that programs to exactly 0 is dropped, as a
+  /// rebuilt problem would drop it: then `row_offsets`/`neighbor_ids` hold
+  /// this gauge's own rows without it (both empty otherwise), so kernels
+  /// and colorings see exactly the programmed adjacency.
+  std::vector<double> weights;
+  std::vector<int32_t> row_offsets;
+  std::vector<qubo::VarId> neighbor_ids;
+  /// The programmed problem as the kernels read it.
+  qubo::IsingView view{qubo::CsrView(), nullptr};
+  Schedule beta{0.0, 0.0, ScheduleShape::kGeometric};
+  /// Checkerboard kernels only: the per-programming coloring (SQA uses
+  /// just its coloring).
+  std::optional<SweepPlan> plan;
+  /// Read r of this gauge anneals with `reads_rng.Fork(r)`.
+  Rng reads_rng{0};
+  int read_base = 0;
+  int reads = 0;
+};
+
+/// Programs `out->gauge` onto `ising`: the spin-reversal transform, the
+/// auto-scale by `scale`, and Gaussian control error on each h
+/// (N(0, sigma*h_range)) and each J (N(0, sigma*j_range)) — the
+/// per-programming "integrated control error" of the hardware. Values and
+/// draws match, expression for expression and in the same order,
+/// `GaugeTransform::Apply` followed by a scaled, perturbed rebuild of the
+/// problem that keeps only nonzero weights; no `IsingProblem` is built.
+void Program(const qubo::IsingProblem& ising, double scale,
+             const DWaveOptions& options, Rng* rng, ProgrammedGauge* out) {
+  const int n = ising.num_spins();
+  const double sigma = options.control_error;
+  const int8_t* sign = out->gauge.signs().data();
+  out->fields.resize(static_cast<size_t>(n));
+  for (qubo::VarId i = 0; i < n; ++i) {
+    const double h = ising.field(i);
+    double v = (h != 0.0 ? h * static_cast<double>(sign[i]) : 0.0) * scale;
+    if (sigma > 0.0) v += rng->Gaussian(0.0, sigma * options.h_range);
+    out->fields[static_cast<size_t>(i)] = v != 0.0 ? v : 0.0;
   }
-  for (const qubo::Interaction& term : ising.couplings()) {
-    double j = term.weight * scale;
-    if (sigma > 0.0) j += rng->Gaussian(0.0, sigma * j_range);
-    if (j != 0.0) out.AddCoupling(term.i, term.j, j);
+  // Couplings in ascending (i, j) order: row i's entries past the
+  // diagonal. Row j's copy of (i, j) is its next entry below the diagonal,
+  // since those are visited in ascending i.
+  const qubo::CsrGraph& csr = ising.csr();
+  out->weights.resize(csr.weights.size());
+  std::vector<int32_t> mirror(csr.row_offsets.begin(),
+                              csr.row_offsets.end() - 1);
+  bool any_dropped = false;
+  for (qubo::VarId i = 0; i < n; ++i) {
+    for (int32_t e = csr.row_offsets[static_cast<size_t>(i)];
+         e < csr.row_offsets[static_cast<size_t>(i) + 1]; ++e) {
+      const qubo::VarId j = csr.neighbor_ids[static_cast<size_t>(e)];
+      if (j < i) continue;
+      double v = (0.0 + csr.weights[static_cast<size_t>(e)] *
+                            static_cast<double>(sign[i]) *
+                            static_cast<double>(sign[j])) *
+                 scale;
+      if (sigma > 0.0) v += rng->Gaussian(0.0, sigma * options.j_range);
+      out->weights[static_cast<size_t>(e)] = v;
+      out->weights[static_cast<size_t>(mirror[static_cast<size_t>(j)]++)] = v;
+      any_dropped = any_dropped || v == 0.0;
+    }
   }
-  return out;
+  const int32_t* rows = csr.row_offsets.data();
+  const qubo::VarId* ids = csr.neighbor_ids.data();
+  if (any_dropped) {
+    std::vector<double> kept;
+    out->row_offsets.assign(static_cast<size_t>(n) + 1, 0);
+    for (qubo::VarId i = 0; i < n; ++i) {
+      for (int32_t e = rows[i]; e < rows[i + 1]; ++e) {
+        if (out->weights[static_cast<size_t>(e)] == 0.0) continue;
+        out->neighbor_ids.push_back(ids[e]);
+        kept.push_back(out->weights[static_cast<size_t>(e)]);
+      }
+      out->row_offsets[static_cast<size_t>(i) + 1] =
+          static_cast<int32_t>(kept.size());
+    }
+    out->weights = std::move(kept);
+    rows = out->row_offsets.data();
+    ids = out->neighbor_ids.data();
+  }
+  out->view = qubo::IsingView(qubo::CsrView(n, rows, ids, out->weights.data()),
+                              out->fields.data());
 }
 
 /// Read-level fault payloads, applied to the gauge-restored spins: stuck
@@ -150,169 +223,185 @@ Result<DeviceResult> DWaveSimulator::Sample(
   result.samples.set_max_samples(options_.max_samples);
   if (options_.record_reads) result.raw_reads.Reset(num_spins);
   Rng rng(options_.seed);
-  // One pool for every gauge (and the SQA backend): RunReads maps a null
-  // executor to the shared singleton, so no gauge ever spawns threads.
-  util::Executor* executor = options_.executor;
+  const bool sa_backend =
+      options_.backend == DeviceBackend::kSimulatedAnnealing;
   const int reads_per_gauge =
       std::max(1, options_.num_reads / options_.num_gauges);
   int reads_left = options_.num_reads;
   int read_base = 0;
+  // Per-read fault masks over the call's chronological read indices,
+  // decided serially up front so the fan-out only reads them.
+  std::vector<uint8_t> drop_mask;
+  std::vector<uint8_t> corrupt_mask;
+  if (faults != nullptr) {
+    drop_mask.assign(static_cast<size_t>(options_.num_reads), 0);
+    corrupt_mask.assign(static_cast<size_t>(options_.num_reads), 0);
+  }
 
+  // Serial prologue: every gauge's fault decisions and programming cycle,
+  // in gauge order, before any read runs.
+  std::vector<ProgrammedGauge> gauges;
+  gauges.reserve(static_cast<size_t>(options_.num_gauges));
   for (int g = 0; g < options_.num_gauges && reads_left > 0; ++g) {
     int reads = std::min(reads_per_gauge, reads_left);
     if (g + 1 == options_.num_gauges) reads = reads_left;
     reads_left -= reads;
-    // Serial per-cycle timing (the gauge loop itself never runs in
-    // parallel), consumed by the trace layer as one span per gauge.
-    Stopwatch gauge_wall;
-    const int dropped_before = result.dropped_reads;
-    const double latency_before = result.injected_latency_ms;
+    Stopwatch program_wall;
+    GaugeTiming timing;
+    timing.gauge = g;
+    timing.reads = reads;
 
     if (faults != nullptr) {
       const uint64_t cycle_key = CycleFaultKey(epoch, options_.num_gauges, g);
       if (faults->ShouldFail(kFaultLatency, cycle_key)) {
-        result.injected_latency_ms += faults->LatencyMillis(kFaultLatency);
+        timing.injected_latency_ms = faults->LatencyMillis(kFaultLatency);
+        result.injected_latency_ms += timing.injected_latency_ms;
       }
       if (faults->ShouldFail(kFaultProgram, cycle_key)) {
         return Status::Internal(StrFormat(
             "injected programming-cycle failure (gauge %d, epoch %llu)", g,
             static_cast<unsigned long long>(epoch)));
       }
-    }
-
-    // Per-read fault masks, decided serially before the read fan-out so the
-    // parallel engine only reads them: bit-identical at any thread count.
-    std::vector<uint8_t> drop_mask;
-    std::vector<uint8_t> corrupt_mask;
-    if (faults != nullptr) {
-      drop_mask.assign(static_cast<size_t>(reads), 0);
-      corrupt_mask.assign(static_cast<size_t>(reads), 0);
-      for (int r = 0; r < reads; ++r) {
-        const uint64_t key = ReadFaultKey(epoch, read_base + r);
+      for (int read = read_base; read < read_base + reads; ++read) {
+        const uint64_t key = ReadFaultKey(epoch, read);
         if (faults->ShouldFail(kFaultReadDropout, key)) {
-          drop_mask[static_cast<size_t>(r)] = 1;
-          ++result.dropped_reads;
+          drop_mask[static_cast<size_t>(read)] = 1;
+          ++timing.dropped_reads;
         } else if (faults->ShouldFail(kFaultChainBreak, key)) {
-          corrupt_mask[static_cast<size_t>(r)] = 1;
+          corrupt_mask[static_cast<size_t>(read)] = 1;
         }
       }
+      result.dropped_reads += timing.dropped_reads;
     }
 
     Rng gauge_rng = rng.Fork(static_cast<uint64_t>(g) * 2 + 1);
-    GaugeTransform gauge =
-        GaugeTransform::Random(converted.ising.num_spins(), &gauge_rng);
-    // Programming cycle: gauge, scale, and apply control error once.
-    qubo::IsingProblem programmed =
-        ScaleAndPerturb(gauge.Apply(converted.ising), scale,
-                        options_.control_error, options_.h_range,
-                        options_.j_range, &gauge_rng);
-
-    if (options_.backend == DeviceBackend::kSimulatedAnnealing) {
-      Schedule beta{0.0, 0.0, ScheduleShape::kGeometric};
-      auto [hot, cold] = SuggestBetaRange(programmed);
-      beta.start = hot;
-      beta.end = cold;
-      programmed.Finalize();  // shared read-only across worker threads
-      // The checkerboard kernels share one per-programming coloring across
-      // the gauge's reads; the scalar kernel skips it.
-      std::optional<SweepPlan> plan;
-      if (options_.sweep_kernel != SweepKernel::kScalar) {
-        plan.emplace(programmed);
-      }
-      const SweepPlan* plan_ptr = plan ? &*plan : nullptr;
-      // Per-read slots keep `raw_reads` chronological regardless of which
-      // worker executes a read: the arena is sized up front, so workers
-      // pack their own disjoint word ranges with no append racing them.
-      // Dropped reads leave zero slots that the serial compaction below
-      // skips.
-      PackedAssignments gauge_raw(converted.ising.num_spins());
-      if (options_.record_reads) gauge_raw.Resize(reads);
-      SampleSet gauge_samples = RunReads(
-          reads, options_.num_threads,
-          [&, beta](int read, SampleSet* local) {
-            if (!drop_mask.empty() && drop_mask[static_cast<size_t>(read)]) {
-              return;  // read lost at the (simulated) readout stage
-            }
-            Rng read_rng = gauge_rng.Fork(static_cast<uint64_t>(read));
-            std::vector<int8_t> spins(
-                static_cast<size_t>(programmed.num_spins()));
-            InitSpins(options_.sweep_kernel, &read_rng, &spins);
-            RunSweeps(programmed, plan_ptr, beta, options_.sa_sweeps,
-                      options_.sweep_kernel, &read_rng, &spins);
-            std::vector<int8_t> restored = gauge.RestoreSpins(spins);
-            if (faults != nullptr) {
-              ApplyReadFaults(
-                  faults, stuck, any_stuck,
-                  !corrupt_mask.empty() &&
-                      corrupt_mask[static_cast<size_t>(read)] != 0,
-                  ReadFaultKey(epoch, read_base + read), &restored);
-            }
-            // True energy on the customer's problem, not the noisy one.
-            double energy = physical.EnergySpins(restored);
-            if (options_.record_reads) {
-              gauge_raw.StoreSpins(read, restored);
-            }
-            local->AddSpins(restored, energy);
-          },
-          executor, options_.max_samples);
-      result.samples.Append(std::move(gauge_samples));
-      if (options_.record_reads) {
-        if (drop_mask.empty()) {
-          result.raw_reads.AppendAll(gauge_raw);
-        } else {
-          for (int r = 0; r < reads; ++r) {
-            if (!drop_mask[static_cast<size_t>(r)]) {
-              result.raw_reads.AppendFrom(gauge_raw, r);
-            }
-          }
-        }
-      }
+    ProgrammedGauge& gauge = gauges.emplace_back(
+        GaugeTransform::Random(converted.ising.num_spins(), &gauge_rng));
+    Program(converted.ising, scale, options_, &gauge_rng, &gauge);
+    gauge.read_base = read_base;
+    gauge.reads = reads;
+    if (sa_backend) {
+      auto [hot, cold] = SuggestBetaRange(gauge.view);
+      gauge.beta.start = hot;
+      gauge.beta.end = cold;
+      gauge.reads_rng = gauge_rng;
     } else {
-      SqaOptions sqa_options = options_.sqa;
-      sqa_options.num_reads = reads;
-      sqa_options.seed = gauge_rng.Next();
-      sqa_options.num_threads = options_.num_threads;
-      sqa_options.executor = executor;
-      sqa_options.sweep_kernel = options_.sweep_kernel;
-      sqa_options.max_samples = options_.max_samples;
-      SimulatedQuantumAnnealer sqa(sqa_options);
-      SampleSet gauge_samples = sqa.SampleIsing(programmed);
-      std::vector<int8_t> spins;
-      int local_read = 0;
+      gauge.reads_rng = Rng(gauge_rng.Next());
+    }
+    if (options_.sweep_kernel != SweepKernel::kScalar) {
+      gauge.plan.emplace(gauge.view);
+    }
+    read_base += reads;
+    timing.wall_ms = program_wall.ElapsedMillis();
+    result.gauge_timings.push_back(timing);
+  }
+
+  // One fan-out over every read of every gauge. Chronological read `read`
+  // is local read `read - read_base` of its gauge: every gauge before the
+  // last holds `reads_per_gauge` reads, the last one the rest.
+  const int total_reads = read_base;
+  const int last_gauge = static_cast<int>(gauges.size()) - 1;
+  auto gauge_of = [&](int read) -> const ProgrammedGauge& {
+    return gauges[static_cast<size_t>(
+        std::min(read / reads_per_gauge, last_gauge))];
+  };
+  // SA reads pack straight into `raw_reads`' per-read slots (sized up
+  // front, so no append races them; dropped reads leave zero slots that
+  // the serial compaction below removes). SQA reads land in per-read
+  // slots of their own, expanded per gauge after the fan-out.
+  SqaOptions sqa_options = options_.sqa;
+  sqa_options.sweep_kernel = options_.sweep_kernel;
+  const SimulatedQuantumAnnealer sqa(sqa_options);
+  PackedAssignments annealed(num_spins);
+  std::vector<double> sqa_energy;
+  if (!sa_backend) {
+    annealed.Resize(total_reads);
+    sqa_energy.resize(static_cast<size_t>(total_reads));
+  } else if (options_.record_reads) {
+    result.raw_reads.Resize(total_reads);
+  }
+  Stopwatch fan_out_wall;
+  SampleSet sa_samples = RunReads(
+      total_reads, options_.num_threads,
+      [&](int read, SampleSet* local) {
+        if (sa_backend && !drop_mask.empty() &&
+            drop_mask[static_cast<size_t>(read)]) {
+          return;  // read lost at the (simulated) readout stage
+        }
+        const ProgrammedGauge& gauge = gauge_of(read);
+        Rng read_rng =
+            gauge.reads_rng.Fork(static_cast<uint64_t>(read - gauge.read_base));
+        std::vector<int8_t> spins(static_cast<size_t>(num_spins));
+        if (!sa_backend) {
+          sqa_energy[static_cast<size_t>(read)] = sqa.AnnealRead(
+              gauge.view, gauge.plan ? &gauge.plan->coloring() : nullptr,
+              &read_rng, &spins);
+          annealed.StoreSpins(read, spins);
+          return;
+        }
+        InitSpins(options_.sweep_kernel, &read_rng, &spins);
+        RunSweeps(gauge.view, gauge.plan ? &*gauge.plan : nullptr, gauge.beta,
+                  options_.sa_sweeps, options_.sweep_kernel, &read_rng,
+                  &spins);
+        std::vector<int8_t> restored = gauge.gauge.RestoreSpins(spins);
+        if (faults != nullptr) {
+          ApplyReadFaults(faults, stuck, any_stuck,
+                          corrupt_mask[static_cast<size_t>(read)] != 0,
+                          ReadFaultKey(epoch, read), &restored);
+        }
+        // True energy on the customer's problem, not the noisy one.
+        double energy = physical.EnergySpins(restored);
+        if (options_.record_reads) result.raw_reads.StoreSpins(read, restored);
+        local->AddSpins(restored, energy);
+      },
+      options_.executor, options_.max_samples);
+  if (sa_backend) {
+    result.samples = std::move(sa_samples);
+    if (options_.record_reads && !drop_mask.empty()) {
+      result.raw_reads.EraseSlots(drop_mask);
+    }
+  } else {
+    // Per gauge, the annealer's finalized (and capped) sample set is
+    // expanded by occurrence into reads; dropout and chain-break masks
+    // apply to that order, after the gauge is restored.
+    std::vector<int8_t> spins;
+    for (const ProgrammedGauge& gauge : gauges) {
+      SampleSet gauge_samples;
+      gauge_samples.set_max_samples(options_.max_samples);
+      for (int read = gauge.read_base; read < gauge.read_base + gauge.reads;
+           ++read) {
+        annealed[read].CopySpinsTo(&spins);
+        gauge_samples.AddSpins(spins, sqa_energy[static_cast<size_t>(read)]);
+      }
+      gauge_samples.Finalize();
+      int read = gauge.read_base;
       for (const anneal::Sample& sample : gauge_samples.samples()) {
         sample.assignment.CopySpinsTo(&spins);
-        std::vector<int8_t> restored = gauge.RestoreSpins(spins);
-        for (int k = 0; k < sample.num_occurrences; ++k) {
-          const int read = local_read++;
+        const std::vector<int8_t> restored = gauge.gauge.RestoreSpins(spins);
+        for (int k = 0; k < sample.num_occurrences; ++k, ++read) {
           if (!drop_mask.empty() && drop_mask[static_cast<size_t>(read)]) {
             continue;
           }
+          std::vector<int8_t> faulted = restored;
           if (faults != nullptr) {
-            std::vector<int8_t> faulted = restored;
-            ApplyReadFaults(
-                faults, stuck, any_stuck,
-                !corrupt_mask.empty() &&
-                    corrupt_mask[static_cast<size_t>(read)] != 0,
-                ReadFaultKey(epoch, read_base + read), &faulted);
-            double energy = physical.EnergySpins(faulted);
-            if (options_.record_reads) result.raw_reads.AppendSpins(faulted);
-            result.samples.AddSpins(faulted, energy);
-          } else {
-            double energy = physical.EnergySpins(restored);
-            if (options_.record_reads) result.raw_reads.AppendSpins(restored);
-            result.samples.AddSpins(restored, energy);
+            ApplyReadFaults(faults, stuck, any_stuck,
+                            corrupt_mask[static_cast<size_t>(read)] != 0,
+                            ReadFaultKey(epoch, read), &faulted);
           }
+          double energy = physical.EnergySpins(faulted);
+          if (options_.record_reads) result.raw_reads.AppendSpins(faulted);
+          result.samples.AddSpins(faulted, energy);
         }
       }
     }
-    read_base += reads;
-    GaugeTiming timing;
-    timing.gauge = g;
-    timing.reads = reads;
-    timing.dropped_reads = result.dropped_reads - dropped_before;
-    timing.wall_ms = gauge_wall.ElapsedMillis();
-    timing.injected_latency_ms = result.injected_latency_ms - latency_before;
-    result.gauge_timings.push_back(timing);
+  }
+  // Each gauge's span: its programming time plus its reads' share of the
+  // fan-out, so the spans add up to the call's wall time, not to the busy
+  // time of every worker.
+  const double fan_out_ms = fan_out_wall.ElapsedMillis();
+  for (GaugeTiming& timing : result.gauge_timings) {
+    timing.wall_ms += fan_out_ms * static_cast<double>(timing.reads) /
+                      static_cast<double>(total_reads);
   }
   if (result.samples.samples().empty()) {
     // Every read dropped: nothing to report. Surfaced as a typed error so

@@ -21,6 +21,15 @@
 ///
 /// The sampling itself is performed by simulated annealing (default) or
 /// simulated quantum annealing on the noisy, gauged Ising problem.
+///
+/// One call runs in two phases. A serial prologue makes, gauge by gauge,
+/// the cycle's fault decisions and programs it (transform, auto-scale,
+/// control error), keeping each programmed gauge as flat arrays laid over
+/// the converted problem's CSR structure. Then every read of every gauge
+/// runs in one self-scheduled fan-out (anneal/parallel.h), with no barrier
+/// between gauges. Read r of gauge g still forks the gauge's stream at its
+/// local index, so results are those of programming and annealing the
+/// gauges one after the other, bit for bit, at any thread count.
 
 #include <cstdint>
 #include <vector>
@@ -74,15 +83,15 @@ struct DWaveOptions {
   /// (needed for best-after-k-runs curves; costs memory).
   bool record_reads = false;
   uint64_t seed = 7;
-  /// Worker threads for the read loop within each programming cycle:
+  /// Worker threads for the call's one read fan-out over all gauges:
   /// 1 = serial (default, keeps `wall_clock_ms` comparable across
   /// machines), 0 = hardware concurrency. Results are bit-identical for
   /// every thread count (see anneal/parallel.h).
   int num_threads = 1;
-  /// Worker pool shared by all gauges of a `Sample` call (and by the SQA
-  /// backend); null = the process-wide `util::Executor::Shared()` pool.
-  /// Either way the pool is created once and reused — a device call spawns
-  /// zero threads per gauge. Never owned.
+  /// Worker pool the read fan-out runs on (both backends); null = the
+  /// process-wide `util::Executor::Shared()` pool. Either way the pool is
+  /// created once and reused — a device call spawns zero threads. Never
+  /// owned.
   util::Executor* executor = nullptr;
   /// Metropolis sweep kernel for both backends (see anneal/sweep_kernel.h):
   /// `kScalar` (default) keeps the frozen bit-exact streams; the
@@ -118,15 +127,19 @@ struct DWaveOptions {
   uint64_t fault_epoch = 0;
 };
 
-/// Per-gauge (programming-cycle) timing, recorded serially in gauge order
-/// so observability layers can build one span per gauge without threading
-/// a tracer through the device. `wall_ms` is nondeterministic; everything
-/// else is pure in (options, seed, faults).
+/// Per-gauge accounting, in gauge order, so observability layers can build
+/// one span per gauge without threading a tracer through the device.
+/// `wall_ms` is nondeterministic; everything else is pure in (options,
+/// seed, faults).
 struct GaugeTiming {
   int gauge = 0;
   int reads = 0;          ///< reads scheduled for this gauge
   int dropped_reads = 0;  ///< reads lost to injected dropout in this gauge
-  double wall_ms = 0.0;   ///< wall time of this programming cycle
+  /// The gauge's programming time plus its reads' share
+  /// (`reads / total reads`) of the fan-out's wall time: the gauges' reads
+  /// run interleaved, so the timings add up to the call's wall time, never
+  /// to the busy time of all workers.
+  double wall_ms = 0.0;
   double injected_latency_ms = 0.0;  ///< latency faults fired this cycle
 };
 

@@ -1,5 +1,6 @@
 #include "anneal/packed.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace qmqo {
@@ -146,6 +147,21 @@ void PackedAssignments::Truncate(int size) {
   assert(size >= 0 && size <= size_);
   words_.resize(static_cast<size_t>(size) * static_cast<size_t>(words_per_));
   size_ = size;
+}
+
+void PackedAssignments::EraseSlots(const std::vector<uint8_t>& erase) {
+  assert(static_cast<int>(erase.size()) == size_);
+  const size_t width = static_cast<size_t>(words_per_);
+  int kept = 0;
+  for (int slot = 0; slot < size_; ++slot) {
+    if (erase[static_cast<size_t>(slot)] != 0) continue;
+    if (kept != slot) {
+      std::copy_n(words_.data() + static_cast<size_t>(slot) * width, width,
+                  words_.data() + static_cast<size_t>(kept) * width);
+    }
+    ++kept;
+  }
+  Truncate(kept);
 }
 
 void PackedAssignments::Resize(int size) {

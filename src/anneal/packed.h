@@ -170,6 +170,11 @@ class PackedAssignments {
   /// `max_samples` truncation path: retained slots are contiguous from 0.
   void Truncate(int size);
 
+  /// Removes every slot whose `erase` flag is nonzero (`erase.size() ==
+  /// size()`), keeping the others in order — the serial compaction of the
+  /// device's per-read `raw_reads` slots after dropped reads.
+  void EraseSlots(const std::vector<uint8_t>& erase);
+
   /// Overwrites slot `slot` in place (tail bits re-zeroed).
   void StoreBytes(int slot, const uint8_t* bytes, int n);
   void StoreSpins(int slot, const int8_t* spins, int n);

@@ -1,6 +1,7 @@
 #include "anneal/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <utility>
 #include <vector>
 
@@ -25,21 +26,23 @@ SampleSet RunReads(int num_reads, int num_threads,
     return out;
   }
 
-  // Chunk-local accumulation on the pool; any partition works for
-  // determinism — Finalize makes the result order-independent — the
-  // executor's static contiguous chunking just keeps per-chunk work
-  // predictable.
+  // One worker-local set per pool task; each task claims reads one at a
+  // time from a shared cursor until none are left, so no worker idles
+  // while another still holds a static chunk's tail. Which worker runs a
+  // read cannot matter: Finalize makes the union partition-independent.
   util::Executor& pool =
       executor != nullptr ? *executor : util::Executor::Shared();
   std::vector<SampleSet> locals(static_cast<size_t>(workers));
   for (SampleSet& local : locals) local.set_max_samples(max_samples);
-  pool.ParallelFor(num_reads, workers,
-                   [&](int begin, int end, int chunk) {
-                     SampleSet* local = &locals[static_cast<size_t>(chunk)];
-                     for (int read = begin; read < end; ++read) {
-                       run_read(read, local);
-                     }
-                   });
+  std::atomic<int> next_read{0};
+  pool.ParallelFor(workers, workers, [&](int, int, int worker) {
+    SampleSet* local = &locals[static_cast<size_t>(worker)];
+    for (int read = next_read.fetch_add(1, std::memory_order_relaxed);
+         read < num_reads;
+         read = next_read.fetch_add(1, std::memory_order_relaxed)) {
+      run_read(read, local);
+    }
+  });
   for (SampleSet& local : locals) {
     out.Append(std::move(local));
   }

@@ -10,11 +10,16 @@
 /// random draw. `RunReads` fans the reads across a reusable
 /// `util::Executor` worker pool (caller-supplied, or the lazily-created
 /// process-wide `util::Executor::Shared()` pool) instead of spawning
-/// threads per call; each chunk accumulates its results into a chunk-local
-/// `SampleSet`, and the locals are concatenated and finalized once at the
-/// end. Because `SampleSet::Finalize` imposes a total order (energy, then
-/// assignment) and merges duplicates, the finalized result is
-/// **bit-identical** for every thread count, including the serial path.
+/// threads per call. Reads are self-scheduled: each worker claims the next
+/// unclaimed read from an atomic cursor, one at a time, so a slow read or a
+/// late-starting worker never leaves the others idle behind a static chunk
+/// boundary. Each worker accumulates into its own `SampleSet`, and the
+/// locals are concatenated and finalized once at the end. Because
+/// `SampleSet::Finalize` imposes a total order (energy, then assignment)
+/// and merges duplicates, the finalized result is **bit-identical** for
+/// every thread count and every claim order, including the serial path.
+/// Callers that need per-read outputs (the device's chronological
+/// `raw_reads`) write them into per-read slots indexed by the read.
 ///
 /// Callers must finalize shared problem structures (`IsingProblem::Finalize`
 /// / `QuboProblem::Finalize`) before entering the engine: lazy finalization
@@ -33,17 +38,18 @@ namespace anneal {
 /// concurrency (at least 1).
 using util::ResolveNumThreads;
 
-/// Runs `run_read(read, &local)` for every read in [0, num_reads) across up
-/// to `num_threads` concurrent chunks (0 = auto) and returns the finalized
-/// union of the chunk-local sets. `run_read` must not touch shared mutable
+/// Runs `run_read(read, &local)` for every read in [0, num_reads) on up to
+/// `num_threads` concurrent workers (0 = auto), each claiming reads one at a
+/// time, and returns the finalized union of the worker-local sets. `run_read` must not touch shared mutable
 /// state; exceptions thrown by a worker are rethrown on the calling thread.
 /// `num_threads == 1` runs inline without touching any pool. `executor` is
 /// the pool to run on; null means the process-wide shared pool. No threads
 /// are ever spawned by this call itself. A positive `max_samples` applies
 /// streaming top-k retention (see SampleSet::set_max_samples) to the
-/// chunk-local sets and the returned union — the retained top-k stays
-/// exact and bit-identical at any thread count, because an overall-top-k
-/// assignment ranks in the top-k of every chunk it appears in.
+/// worker-local sets and the returned union — the retained top-k stays
+/// exact and bit-identical for any partition of the reads, because an
+/// overall-top-k assignment ranks in the top-k of every subset it appears
+/// in.
 SampleSet RunReads(int num_reads, int num_threads,
                    const std::function<void(int, SampleSet*)>& run_read,
                    util::Executor* executor = nullptr, int max_samples = 0);

@@ -24,17 +24,16 @@ double Schedule::At(int step, int total) const {
   return end;
 }
 
-std::pair<double, double> SuggestBetaRange(const qubo::IsingProblem& ising) {
+std::pair<double, double> SuggestBetaRange(const qubo::IsingView& ising) {
   // Largest and smallest (nonzero) magnitude of the effective field any
   // spin can experience.
   double max_field = 0.0;
   double min_field = std::numeric_limits<double>::infinity();
-  const qubo::CsrGraph& csr = ising.csr();
+  const qubo::CsrView& csr = ising.csr;
   for (qubo::VarId i = 0; i < ising.num_spins(); ++i) {
-    double field = std::fabs(ising.field(i));
-    for (int32_t e = csr.row_offsets[static_cast<size_t>(i)];
-         e < csr.row_offsets[static_cast<size_t>(i) + 1]; ++e) {
-      field += std::fabs(csr.weights[static_cast<size_t>(e)]);
+    double field = std::fabs(ising.fields[i]);
+    for (int32_t e = csr.row_offsets[i]; e < csr.row_offsets[i + 1]; ++e) {
+      field += std::fabs(csr.weights[e]);
     }
     // A spin whose field sum is inf or NaN (overflowing or non-finite
     // couplings) says nothing useful about the temperature range — skip

@@ -32,7 +32,7 @@ struct Schedule {
 /// heuristic used by classical annealing samplers: the hot temperature
 /// makes the largest local field flippable with probability ~1/2, the cold
 /// temperature freezes the smallest nonzero field to acceptance ~1%.
-std::pair<double, double> SuggestBetaRange(const qubo::IsingProblem& ising);
+std::pair<double, double> SuggestBetaRange(const qubo::IsingView& ising);
 
 }  // namespace anneal
 }  // namespace qmqo

@@ -20,7 +20,7 @@ namespace {
 /// when accepted — instead of O(degree) recomputation per *proposal*.
 class SqaState {
  public:
-  SqaState(const qubo::IsingProblem& ising, int num_slices, SweepKernel kernel,
+  SqaState(const qubo::IsingView& ising, int num_slices, SweepKernel kernel,
            Rng* rng)
       : ising_(ising),
         n_(ising.num_spins()),
@@ -31,17 +31,15 @@ class SqaState {
     // one-Bernoulli-per-spin stream, the checkerboard kernels bit-unpack
     // 64 spins per draw.
     InitSpins(kernel, rng, &spins_);
-    const qubo::CsrGraph& csr = ising_.csr();
-    const double* h = ising_.fields().data();
+    const qubo::CsrView& csr = ising_.csr;
+    const double* h = ising_.fields;
     for (int k = 0; k < p_; ++k) {
       const int8_t* slice = slice_spins(k);
       double* field = slice_fields(k);
       for (qubo::VarId i = 0; i < n_; ++i) {
         double f = h[i];
-        for (int32_t e = csr.row_offsets[static_cast<size_t>(i)];
-             e < csr.row_offsets[static_cast<size_t>(i) + 1]; ++e) {
-          f += csr.weights[static_cast<size_t>(e)] *
-               static_cast<double>(slice[csr.neighbor_ids[static_cast<size_t>(e)]]);
+        for (int32_t e = csr.row_offsets[i]; e < csr.row_offsets[i + 1]; ++e) {
+          f += csr.weights[e] * static_cast<double>(slice[csr.neighbor_ids[e]]);
         }
         field[i] = f;
       }
@@ -72,25 +70,20 @@ class SqaState {
   void Flip(int k, qubo::VarId i) {
     int8_t* slice = slice_spins(k);
     double* field = slice_fields(k);
-    const qubo::CsrGraph& csr = ising_.csr();
+    const qubo::CsrView& csr = ising_.csr;
     double change = -2.0 * static_cast<double>(slice[i]);
     slice[i] = static_cast<int8_t>(-slice[i]);
-    for (int32_t e = csr.row_offsets[static_cast<size_t>(i)];
-         e < csr.row_offsets[static_cast<size_t>(i) + 1]; ++e) {
-      field[csr.neighbor_ids[static_cast<size_t>(e)]] +=
-          csr.weights[static_cast<size_t>(e)] * change;
+    for (int32_t e = csr.row_offsets[i]; e < csr.row_offsets[i + 1]; ++e) {
+      field[csr.neighbor_ids[e]] += csr.weights[e] * change;
     }
   }
 
   /// Exact energy of slice k (recomputed from scratch; used for read-out
   /// only, so cached-field drift never reaches reported energies).
-  double SliceEnergy(int k) const {
-    std::vector<int8_t> slice(slice_spins(k), slice_spins(k) + n_);
-    return ising_.Energy(slice);
-  }
+  double SliceEnergy(int k) const { return ising_.Energy(slice_spins(k)); }
 
  private:
-  const qubo::IsingProblem& ising_;
+  qubo::IsingView ising_;
   int n_;
   int p_;
   std::vector<int8_t> spins_;
@@ -101,9 +94,8 @@ class SqaState {
 /// per-proposal draws, the exact Metropolis test (`MetropolisAccept`, which
 /// decides exactly as `std::exp` did). Frozen — the SQA bit-exactness
 /// reference.
-void ScalarStep(const qubo::IsingProblem& ising, SqaState* state, int n, int p,
-                double beta_slice, double j_perp, Rng* rng) {
-  (void)ising;
+void ScalarStep(SqaState* state, int n, int p, double beta_slice,
+                double j_perp, Rng* rng) {
   // Single-site Metropolis moves, slice by slice.
   for (int k = 0; k < p; ++k) {
     const int8_t* slice = state->slice_spins(k);
@@ -197,65 +189,76 @@ void CheckerboardStep(SqaState* state, const qubo::Coloring& coloring, int n,
 
 SampleSet SimulatedQuantumAnnealer::SampleIsing(
     const qubo::IsingProblem& ising) const {
-  const int n = ising.num_spins();
-  const int p = options_.num_slices;
-  assert(p >= 2);
-  const double beta_slice = options_.beta / static_cast<double>(p);
-  ising.Finalize();  // shared across worker threads
+  // The view finalizes the problem before it is shared across workers.
+  const qubo::IsingView view(ising);
   Rng rng(options_.seed);
-  const SweepKernel kernel = options_.sweep_kernel;
-  const bool fast = kernel == SweepKernel::kCheckerboardFast;
   // Color classes are shared read-only across reads; scalar skips them.
   // (Only the coloring — the SQA sweep keeps the original vertex order, so
   // a full SweepPlan's permuted problem copy would go unused.)
   std::optional<qubo::Coloring> coloring;
-  if (kernel != SweepKernel::kScalar) {
-    coloring.emplace(qubo::ColorGraph(ising.csr()));
+  if (options_.sweep_kernel != SweepKernel::kScalar) {
+    coloring.emplace(qubo::ColorGraph(view.csr));
   }
-
+  const qubo::Coloring* coloring_ptr = coloring ? &*coloring : nullptr;
   return RunReads(
       options_.num_reads, options_.num_threads,
       [&](int read, SampleSet* local) {
         Rng read_rng = rng.Fork(static_cast<uint64_t>(read));
-        SqaState state(ising, p, kernel, &read_rng);
-        const bool scalar = kernel == SweepKernel::kScalar;
-        std::vector<double> uniforms(
-            scalar ? 0
-                   : static_cast<size_t>(
-                         std::max(n, coloring->max_class_size())));
-        // Bulk uniforms for the checkerboard kernels: one xoshiro256++
-        // stream per read, seeded from the read's Rng (see sweep_kernel.h).
-        FastRng fast_rng(scalar ? 0 : read_rng.Next());
-
-        for (int step = 0; step < options_.sweeps; ++step) {
-          double gamma = options_.gamma.At(step, options_.sweeps);
-          gamma = std::max(gamma, 1e-9);
-          // Inter-slice ferromagnetic coupling; positive, diverging as
-          // gamma -> 0. The energy term is −j_perp * s_{k,i} * s_{k+1,i}.
-          double j_perp =
-              -0.5 / beta_slice * std::log(std::tanh(beta_slice * gamma));
-
-          if (scalar) {
-            ScalarStep(ising, &state, n, p, beta_slice, j_perp, &read_rng);
-          } else {
-            CheckerboardStep(&state, *coloring, n, p, beta_slice, j_perp,
-                             fast, &fast_rng, &uniforms);
-          }
-        }
-
-        // Read out the best slice (energies recomputed exactly).
-        double best_energy = std::numeric_limits<double>::infinity();
-        int best_slice = 0;
-        for (int k = 0; k < p; ++k) {
-          double energy = state.SliceEnergy(k);
-          if (energy < best_energy) {
-            best_energy = energy;
-            best_slice = k;
-          }
-        }
-        local->AddSpins(state.slice_spins(best_slice), n, best_energy);
+        std::vector<int8_t> spins;
+        const double energy = AnnealRead(view, coloring_ptr, &read_rng, &spins);
+        local->AddSpins(spins, energy);
       },
       options_.executor, options_.max_samples);
+}
+
+double SimulatedQuantumAnnealer::AnnealRead(const qubo::IsingView& ising,
+                                            const qubo::Coloring* coloring,
+                                            Rng* rng,
+                                            std::vector<int8_t>* spins) const {
+  const int n = ising.num_spins();
+  const int p = options_.num_slices;
+  assert(p >= 2);
+  const double beta_slice = options_.beta / static_cast<double>(p);
+  const SweepKernel kernel = options_.sweep_kernel;
+  const bool scalar = kernel == SweepKernel::kScalar;
+  const bool fast = kernel == SweepKernel::kCheckerboardFast;
+  assert(scalar || coloring != nullptr);
+  SqaState state(ising, p, kernel, rng);
+  std::vector<double> uniforms(
+      scalar ? 0
+             : static_cast<size_t>(std::max(n, coloring->max_class_size())));
+  // Bulk uniforms for the checkerboard kernels: one xoshiro256++ stream per
+  // read, seeded from the read's Rng (see sweep_kernel.h).
+  FastRng fast_rng(scalar ? 0 : rng->Next());
+
+  for (int step = 0; step < options_.sweeps; ++step) {
+    double gamma = options_.gamma.At(step, options_.sweeps);
+    gamma = std::max(gamma, 1e-9);
+    // Inter-slice ferromagnetic coupling; positive, diverging as
+    // gamma -> 0. The energy term is −j_perp * s_{k,i} * s_{k+1,i}.
+    double j_perp = -0.5 / beta_slice * std::log(std::tanh(beta_slice * gamma));
+
+    if (scalar) {
+      ScalarStep(&state, n, p, beta_slice, j_perp, rng);
+    } else {
+      CheckerboardStep(&state, *coloring, n, p, beta_slice, j_perp, fast,
+                       &fast_rng, &uniforms);
+    }
+  }
+
+  // Read out the best slice (energies recomputed exactly).
+  double best_energy = std::numeric_limits<double>::infinity();
+  int best_slice = 0;
+  for (int k = 0; k < p; ++k) {
+    double energy = state.SliceEnergy(k);
+    if (energy < best_energy) {
+      best_energy = energy;
+      best_slice = k;
+    }
+  }
+  spins->assign(state.slice_spins(best_slice),
+                state.slice_spins(best_slice) + n);
+  return best_energy;
 }
 
 SampleSet SimulatedQuantumAnnealer::Sample(const qubo::QuboProblem& problem) const {

@@ -77,6 +77,16 @@ class SimulatedQuantumAnnealer {
   /// QUBO wrapper (exact Ising conversion; energies on the QUBO scale).
   SampleSet Sample(const qubo::QuboProblem& problem) const;
 
+  /// One read: anneals a fresh replica stack drawn from `rng` (the read's
+  /// own forked stream), writes the best slice's spins to `spins` and
+  /// returns its exact energy on `ising`. `coloring` is the problem's
+  /// `qubo::ColorGraph` for the checkerboard kernels, ignored (may be null)
+  /// for `kScalar`. `SampleIsing` runs this per read, and so does the
+  /// device model's SQA backend inside its single read fan-out; the
+  /// options' read count, seed, threads and cap are not used here.
+  double AnnealRead(const qubo::IsingView& ising, const qubo::Coloring* coloring,
+                    Rng* rng, std::vector<int8_t>* spins) const;
+
   const SqaOptions& options() const { return options_; }
 
  private:

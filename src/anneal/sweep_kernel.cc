@@ -15,15 +15,14 @@ namespace {
 /// Metropolis test (`MetropolisAccept`: `std::exp` behind a screen that
 /// changes no decision), incremental local fields. Its random stream is the
 /// frozen bit-exactness contract of the default path.
-void ScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
+void ScalarSweeps(const qubo::IsingView& ising, const Schedule& beta,
                   int sweeps, Rng* rng, std::vector<int8_t>* spins) {
   const int n = ising.num_spins();
   assert(static_cast<int>(spins->size()) == n);
-  const qubo::CsrGraph& csr = ising.csr();
-  const int32_t* offsets = csr.row_offsets.data();
-  const qubo::VarId* ids = csr.neighbor_ids.data();
-  const double* weights = csr.weights.data();
-  const double* h = ising.fields().data();
+  const int32_t* offsets = ising.csr.row_offsets;
+  const qubo::VarId* ids = ising.csr.neighbor_ids;
+  const double* weights = ising.csr.weights;
+  const double* h = ising.fields;
   int8_t* s = spins->data();
 
   // Local fields: field[i] = h_i + sum_j J_ij s_j; flipping spin i changes
@@ -66,7 +65,7 @@ void ScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
 /// across the executor into per-index accept slots while the scatter
 /// stays serial — bit-identical at any `sweep_threads`, because the
 /// uniforms are drawn in the same per-class order either way.
-void CheckerboardSweeps(const qubo::IsingProblem& ising, const SweepPlan& plan,
+void CheckerboardSweeps(const qubo::IsingView& ising, const SweepPlan& plan,
                         const Schedule& beta, int sweeps, bool fast, Rng* rng,
                         std::vector<int8_t>* spins, util::Executor* executor,
                         int sweep_threads) {
@@ -177,32 +176,31 @@ void CheckerboardSweeps(const qubo::IsingProblem& ising, const SweepPlan& plan,
 
 }  // namespace
 
-SweepPlan::SweepPlan(const qubo::IsingProblem& ising)
-    : coloring_(qubo::ColorGraph(ising.csr())) {
+SweepPlan::SweepPlan(const qubo::IsingView& ising)
+    : coloring_(qubo::ColorGraph(ising.csr)) {
   // Renumber vertices color-major: permuted id q maps to original vertex
   // class_members[q]. Rebuild CSR, weights, and fields in that space so
   // the class pass reads everything sequentially.
-  const qubo::CsrGraph& csr = ising.csr();
-  const int n = csr.num_vars();
+  const qubo::CsrView& csr = ising.csr;
+  const int n = csr.num_vars;
   std::vector<qubo::VarId> to_permuted(static_cast<size_t>(n));
   for (int q = 0; q < n; ++q) {
     to_permuted[static_cast<size_t>(coloring_.class_members[q])] = q;
   }
+  const size_t num_entries = static_cast<size_t>(csr.row_offsets[n]);
   row_offsets_.resize(static_cast<size_t>(n) + 1);
   row_offsets_[0] = 0;
-  neighbor_ids_.resize(csr.neighbor_ids.size());
-  weights_.resize(csr.weights.size());
+  neighbor_ids_.resize(num_entries);
+  weights_.resize(num_entries);
   fields_.resize(static_cast<size_t>(n));
-  const std::vector<double>& h = ising.fields();
   int32_t cursor = 0;
   for (int q = 0; q < n; ++q) {
     qubo::VarId v = coloring_.class_members[static_cast<size_t>(q)];
-    fields_[static_cast<size_t>(q)] = h[static_cast<size_t>(v)];
-    for (int32_t e = csr.row_offsets[static_cast<size_t>(v)];
-         e < csr.row_offsets[static_cast<size_t>(v) + 1]; ++e) {
+    fields_[static_cast<size_t>(q)] = ising.fields[v];
+    for (int32_t e = csr.row_offsets[v]; e < csr.row_offsets[v + 1]; ++e) {
       neighbor_ids_[static_cast<size_t>(cursor)] =
-          to_permuted[static_cast<size_t>(csr.neighbor_ids[static_cast<size_t>(e)])];
-      weights_[static_cast<size_t>(cursor)] = csr.weights[static_cast<size_t>(e)];
+          to_permuted[static_cast<size_t>(csr.neighbor_ids[e])];
+      weights_[static_cast<size_t>(cursor)] = csr.weights[e];
       ++cursor;
     }
     row_offsets_[static_cast<size_t>(q) + 1] = cursor;
@@ -260,7 +258,7 @@ void InitSpins(SweepKernel kernel, Rng* rng, std::vector<int8_t>* spins) {
   }
 }
 
-void RunSweeps(const qubo::IsingProblem& ising, const SweepPlan* plan,
+void RunSweeps(const qubo::IsingView& ising, const SweepPlan* plan,
                const Schedule& beta, int sweeps, SweepKernel kernel, Rng* rng,
                std::vector<int8_t>* spins, util::Executor* executor,
                int sweep_threads) {

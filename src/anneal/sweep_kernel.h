@@ -159,7 +159,7 @@ inline bool MetropolisAccept(double u, double bd) {
 /// `RunSweeps`).
 class SweepPlan {
  public:
-  explicit SweepPlan(const qubo::IsingProblem& ising);
+  explicit SweepPlan(const qubo::IsingView& ising);
 
   const qubo::Coloring& coloring() const { return coloring_; }
   int max_class_size() const { return coloring_.max_class_size(); }
@@ -196,14 +196,16 @@ void RandomSpinsBatched(Rng* rng, std::vector<int8_t>* spins);
 void InitSpins(SweepKernel kernel, Rng* rng, std::vector<int8_t>* spins);
 
 /// Runs `sweeps` Metropolis sweeps over `spins` in place with the selected
-/// kernel. `plan` may be null for `kScalar` and must outlive the call
+/// kernel — the one kernel entry point of both SA callers: the sampler
+/// passes a view of its `IsingProblem`, the device model a view of a
+/// programmed gauge's flat arrays. `plan` may be null for `kScalar` and must outlive the call
 /// otherwise (build it once per problem, share across reads). The
 /// checkerboard kernels fan their per-class decide loop across
 /// `sweep_threads` concurrent chunks of `executor` (null = the process-wide
 /// shared pool; <= 1 = inline) with bit-identical results at any thread
 /// count, because the class's uniforms are drawn serially up front and each
 /// chunk writes per-index accept slots.
-void RunSweeps(const qubo::IsingProblem& ising, const SweepPlan* plan,
+void RunSweeps(const qubo::IsingView& ising, const SweepPlan* plan,
                const Schedule& beta, int sweeps, SweepKernel kernel, Rng* rng,
                std::vector<int8_t>* spins, util::Executor* executor = nullptr,
                int sweep_threads = 1);

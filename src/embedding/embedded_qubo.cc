@@ -501,15 +501,30 @@ std::vector<uint8_t> EmbeddedQubo::Unembed(
   }
   // Greedy descent on the logical energy repairs majority-vote errors on
   // broken chains. Terminates: each flip strictly lowers the energy.
+  // FlipDelta(v) reads only v and its logical neighbours, so a variable
+  // whose last evaluation did not flip it, and none of whose neighbours
+  // flipped since, would return the same delta: it stays clean and is
+  // skipped. The rounds, the visiting order and the flips are those of
+  // re-evaluating every variable every round.
+  const qubo::CsrGraph& csr = logical_.csr();
+  std::vector<uint8_t> dirty(logical_x.size(), 1);
   bool improved = true;
   int guard = 0;
   const int max_rounds = 100;
   while (improved && guard++ < max_rounds) {
     improved = false;
     for (int var = 0; var < logical_.num_vars(); ++var) {
+      if (!dirty[static_cast<size_t>(var)]) continue;
       if (logical_.FlipDelta(logical_x, var) < 0.0) {
         logical_x[static_cast<size_t>(var)] ^= 1;
         improved = true;
+        for (int32_t e = csr.row_offsets[static_cast<size_t>(var)];
+             e < csr.row_offsets[static_cast<size_t>(var) + 1]; ++e) {
+          dirty[static_cast<size_t>(csr.neighbor_ids[static_cast<size_t>(e)])] =
+              1;
+        }
+      } else {
+        dirty[static_cast<size_t>(var)] = 0;
       }
     }
   }

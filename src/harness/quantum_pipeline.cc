@@ -105,9 +105,10 @@ Result<QuantumMqoResult> SolveQuantumMqo(const mqo::MqoProblem& problem,
   result.dropped_reads = device_result.dropped_reads;
   result.injected_latency_ms = device_result.injected_latency_ms;
   if (trace != nullptr) {
-    // One child per programming cycle, from the device's serially recorded
-    // per-gauge timings; modeled time is the device-time model plus any
-    // injected latency (both deterministic).
+    // One child per programming cycle, from the device's per-gauge
+    // timings (programming plus the gauge's share of the read fan-out, so
+    // the children fit inside this span); modeled time is the device-time
+    // model plus any injected latency (both deterministic).
     for (const anneal::GaugeTiming& timing : device_result.gauge_timings) {
       trace->Open("anneal.gauge");
       trace->Tag("gauge", static_cast<int64_t>(timing.gauge));

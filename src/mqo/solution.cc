@@ -62,14 +62,51 @@ int SwapDescent(const MqoProblem& problem, MqoSolution* solution) {
   // selected(q0) and the flags of old and new. So the stale entries are the
   // plans of q0 and of every query owning a savings neighbour of old or
   // new; every other entry equals (bit for bit) what a fresh call returns.
-  std::vector<double> delta(static_cast<size_t>(problem.num_plans()), 0.0);
+  const int num_plans = problem.num_plans();
+  std::vector<double> delta(static_cast<size_t>(num_plans), 0.0);
+  // A tournament tree over the plans picks each step's swap: leaf
+  // `leaves + p` holds p while p is a candidate (not its query's selection,
+  // delta below -1e-12 — never NaN), else -1; an inner node holds the
+  // better of its children's winners, by (delta, plan id). Plans of a
+  // query are contiguous and queries ascend with plan ids, so the root is
+  // the first strictly best swap in (query, plan) order, as a full scan
+  // with a strict `<` finds it.
+  int leaves = 1;
+  while (leaves < num_plans) leaves *= 2;
+  std::vector<int> winner(2 * static_cast<size_t>(leaves), -1);
+  auto better = [&delta](int left, int right) {
+    if (left < 0) return right;
+    if (right < 0) return left;
+    return delta[static_cast<size_t>(right)] < delta[static_cast<size_t>(left)]
+               ? right
+               : left;
+  };
+  auto set_leaf = [&](QueryId q, PlanId p) {
+    winner[static_cast<size_t>(leaves + p)] =
+        p != eval.selected(q) && delta[static_cast<size_t>(p)] < -1e-12 ? p
+                                                                        : -1;
+  };
   auto refresh = [&](QueryId q) {
     for (int k = 0; k < problem.num_plans_of(q); ++k) {
       PlanId p = problem.first_plan(q) + k;
       delta[static_cast<size_t>(p)] = eval.SwapDelta(q, p);
+      set_leaf(q, p);
+      for (size_t node = static_cast<size_t>(leaves + p) / 2; node >= 1;
+           node /= 2) {
+        winner[node] = better(winner[2 * node], winner[2 * node + 1]);
+      }
     }
   };
-  for (QueryId q = 0; q < problem.num_queries(); ++q) refresh(q);
+  for (QueryId q = 0; q < problem.num_queries(); ++q) {
+    for (int k = 0; k < problem.num_plans_of(q); ++k) {
+      PlanId p = problem.first_plan(q) + k;
+      delta[static_cast<size_t>(p)] = eval.SwapDelta(q, p);
+      set_leaf(q, p);
+    }
+  }
+  for (size_t node = static_cast<size_t>(leaves) - 1; node >= 1; --node) {
+    winner[node] = better(winner[2 * node], winner[2 * node + 1]);
+  }
   // refreshed_at[q] == swaps once q was refreshed after the latest swap.
   std::vector<int> refreshed_at(static_cast<size_t>(problem.num_queries()), 0);
   int swaps = 0;
@@ -83,22 +120,9 @@ int SwapDescent(const MqoProblem& problem, MqoSolution* solution) {
       refresh_once(problem.query_of(link.first));
     }
   };
-  while (true) {
-    QueryId best_query = -1;
-    PlanId best_plan = -1;
-    double best_delta = -1e-12;
-    for (QueryId q = 0; q < problem.num_queries(); ++q) {
-      for (int k = 0; k < problem.num_plans_of(q); ++k) {
-        PlanId p = problem.first_plan(q) + k;
-        if (p == eval.selected(q)) continue;
-        if (delta[static_cast<size_t>(p)] < best_delta) {
-          best_delta = delta[static_cast<size_t>(p)];
-          best_query = q;
-          best_plan = p;
-        }
-      }
-    }
-    if (best_query < 0) break;
+  while (winner[1] >= 0) {
+    const PlanId best_plan = winner[1];
+    const QueryId best_query = problem.query_of(best_plan);
     PlanId old_plan = eval.selected(best_query);
     eval.ApplySwap(best_query, best_plan);
     ++swaps;

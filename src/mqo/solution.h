@@ -61,10 +61,11 @@ double EvaluateCost(const MqoProblem& problem, const MqoSolution& solution);
 /// Each step takes the first strictly best swap (delta < -1e-12) in
 /// (query, plan) order. The swap deltas are cached: after a swap only the
 /// plans of the swapped query and of the queries owning a savings neighbour
-/// of the old or new plan are re-evaluated, so a step costs one cached scan
-/// plus O(local degree) work instead of a full rescan — with the same
-/// swaps and bit-identical costs as the full rescan. Partial solutions are
-/// accepted: an unselected query may gain a plan when that lowers the cost.
+/// of the old or new plan are re-evaluated, and a tournament tree over the
+/// cached deltas yields the next swap, so a step costs O(local degree x
+/// log plans) instead of a full rescan — with the same swaps and
+/// bit-identical costs as the full rescan. Partial solutions are accepted:
+/// an unselected query may gain a plan when that lowers the cost.
 int SwapDescent(const MqoProblem& problem, MqoSolution* solution);
 
 /// Maintains the cost of a complete solution under single-query plan swaps

@@ -21,6 +21,11 @@
 /// itself (+c_t − k*c_t <= 0), and the task is charged exactly once; with
 /// k = 0 the "skip" plan costs nothing. The reduction is exact — verified
 /// against direct union-cost enumeration in the tests.
+///
+/// Reachable only from tests (tests/task_model_test.cc): no workload,
+/// bench or solve path builds task-based instances. It is kept because it
+/// is the executable form of footnote 4's claim that the pairwise model
+/// loses no generality.
 
 #include <vector>
 

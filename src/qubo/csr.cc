@@ -51,8 +51,8 @@ namespace {
 
 /// BFS 2-coloring; returns false (leaving `color_of` partially filled) on
 /// the first odd cycle.
-bool TryBipartite(const CsrGraph& graph, std::vector<int>* color_of) {
-  const int n = graph.num_vars();
+bool TryBipartite(const CsrView& graph, std::vector<int>* color_of) {
+  const int n = graph.num_vars;
   color_of->assign(static_cast<size_t>(n), -1);
   std::deque<VarId> queue;
   for (VarId start = 0; start < n; ++start) {
@@ -63,8 +63,9 @@ bool TryBipartite(const CsrGraph& graph, std::vector<int>* color_of) {
       VarId v = queue.front();
       queue.pop_front();
       int neighbor_color = 1 - (*color_of)[static_cast<size_t>(v)];
-      for (auto [u, w] : graph.row(v)) {
-        (void)w;
+      for (int32_t e = graph.row_offsets[v]; e < graph.row_offsets[v + 1];
+           ++e) {
+        const VarId u = graph.neighbor_ids[e];
         int& c = (*color_of)[static_cast<size_t>(u)];
         if (c == -1) {
           c = neighbor_color;
@@ -79,16 +80,15 @@ bool TryBipartite(const CsrGraph& graph, std::vector<int>* color_of) {
 }
 
 /// First-fit greedy coloring over ascending vertex ids.
-int GreedyColors(const CsrGraph& graph, std::vector<int>* color_of) {
-  const int n = graph.num_vars();
+int GreedyColors(const CsrView& graph, std::vector<int>* color_of) {
+  const int n = graph.num_vars;
   color_of->assign(static_cast<size_t>(n), -1);
   int num_colors = 1;
   std::vector<uint8_t> used;
   for (VarId v = 0; v < n; ++v) {
     used.assign(static_cast<size_t>(num_colors) + 1, 0);
-    for (auto [u, w] : graph.row(v)) {
-      (void)w;
-      int c = (*color_of)[static_cast<size_t>(u)];
+    for (int32_t e = graph.row_offsets[v]; e < graph.row_offsets[v + 1]; ++e) {
+      int c = (*color_of)[static_cast<size_t>(graph.neighbor_ids[e])];
       if (c >= 0 && c <= num_colors) used[static_cast<size_t>(c)] = 1;
     }
     int color = 0;
@@ -101,8 +101,8 @@ int GreedyColors(const CsrGraph& graph, std::vector<int>* color_of) {
 
 }  // namespace
 
-Coloring ColorGraph(const CsrGraph& graph) {
-  const int n = graph.num_vars();
+Coloring ColorGraph(const CsrView& graph) {
+  const int n = graph.num_vars;
   Coloring coloring;
   coloring.is_bipartite = TryBipartite(graph, &coloring.color_of);
   coloring.num_colors =

@@ -99,6 +99,28 @@ struct CsrGraph {
   }
 };
 
+/// A non-owning view of CSR arrays: a `CsrGraph`'s own, or weights laid
+/// over another graph's structure (the device model's programmed gauges
+/// share the converted problem's rows). Implicit from `CsrGraph`, like
+/// `std::string_view` from a string; valid while the arrays live.
+struct CsrView {
+  CsrView() = default;
+  CsrView(int num_vars_in, const int32_t* row_offsets_in,
+          const VarId* neighbor_ids_in, const double* weights_in)
+      : num_vars(num_vars_in),
+        row_offsets(row_offsets_in),
+        neighbor_ids(neighbor_ids_in),
+        weights(weights_in) {}
+  CsrView(const CsrGraph& graph)  // NOLINT(google-explicit-constructor)
+      : CsrView(graph.num_vars(), graph.row_offsets.data(),
+                graph.neighbor_ids.data(), graph.weights.data()) {}
+
+  int num_vars = 0;
+  const int32_t* row_offsets = nullptr;
+  const VarId* neighbor_ids = nullptr;
+  const double* weights = nullptr;
+};
+
 /// A partition of a graph's vertices into independent sets ("color
 /// classes"): no edge connects two vertices of the same class. The sweep
 /// kernels update one class at a time — within a class, no spin's local
@@ -132,7 +154,7 @@ struct Coloring {
 /// cell-column parity), else a greedy first-fit coloring over ascending
 /// vertex ids (at most max_degree + 1 colors). Isolated vertices get
 /// color 0; an edgeless graph yields one class.
-Coloring ColorGraph(const CsrGraph& graph);
+Coloring ColorGraph(const CsrView& graph);
 
 }  // namespace qubo
 }  // namespace qmqo

@@ -71,14 +71,22 @@ const CsrGraph& IsingProblem::csr() const {
 
 double IsingProblem::Energy(const std::vector<int8_t>& s) const {
   assert(s.size() == h_.size());
-  EnsureFinalized();
+  return IsingView(*this).Energy(s.data());
+}
+
+double IsingView::Energy(const int8_t* s) const {
   double energy = 0.0;
-  for (size_t i = 0; i < h_.size(); ++i) {
-    energy += h_[i] * static_cast<double>(s[i]);
+  for (VarId i = 0; i < num_spins(); ++i) {
+    energy += fields[i] * static_cast<double>(s[i]);
   }
-  for (const Interaction& term : couplings_) {
-    energy += term.weight * static_cast<double>(s[static_cast<size_t>(term.i)]) *
-              static_cast<double>(s[static_cast<size_t>(term.j)]);
+  for (VarId i = 0; i < num_spins(); ++i) {
+    for (int32_t e = csr.row_offsets[i]; e < csr.row_offsets[i + 1]; ++e) {
+      const VarId j = csr.neighbor_ids[e];
+      if (j > i) {
+        energy += csr.weights[e] * static_cast<double>(s[i]) *
+                  static_cast<double>(s[j]);
+      }
+    }
   }
   return energy;
 }

@@ -77,6 +77,28 @@ class IsingProblem {
   mutable CsrGraph csr_;
 };
 
+/// A non-owning flat view of an Ising problem: the fields plus a CSR
+/// adjacency, which is everything the annealing kernels and
+/// `SuggestBetaRange` read. Implicit from an `IsingProblem` (finalizing
+/// it); the device model instead lays each programmed gauge's flat arrays
+/// over the converted problem's CSR structure. Valid while the arrays
+/// live.
+struct IsingView {
+  IsingView(const CsrView& csr_in, const double* fields_in)
+      : csr(csr_in), fields(fields_in) {}
+  IsingView(const IsingProblem& ising)  // NOLINT(google-explicit-constructor)
+      : IsingView(ising.csr(), ising.fields().data()) {}
+
+  int num_spins() const { return csr.num_vars; }
+
+  /// H(s): the fields first, then each coupling once in ascending (i, j)
+  /// order — the summation order of the sorted coupling list.
+  double Energy(const int8_t* s) const;
+
+  CsrView csr;
+  const double* fields = nullptr;
+};
+
 /// An Ising instance together with the constant separating its energy scale
 /// from the QUBO it was derived from: E_qubo(x) = H(s(x)) + offset.
 struct IsingWithOffset {

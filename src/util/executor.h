@@ -6,13 +6,14 @@
 /// worker pool with a condition-variable task queue.
 ///
 /// Every parallel loop in the codebase — the annealers' read engine
-/// (`anneal::RunReads`), the device simulator's gauge loop, the experiment
+/// (`anneal::RunReads`, which also carries the device simulator's one
+/// read fan-out per call), the pipeline's read-out, the experiment
 /// harness's instance fan-out, and the bench drivers — runs on an
 /// `Executor` instead of spawning `std::thread`s per call. Workers are
 /// spawned once, at construction, and reused for every subsequent
 /// `ParallelFor`; `TotalWorkersSpawned()` exposes the process-wide spawn
-/// counter so tests and benches can assert that hot paths (e.g. one device
-/// call per gauge) create zero threads.
+/// counter so tests and benches can assert that hot paths (e.g. a
+/// multi-gauge device call) create zero threads.
 ///
 /// `ParallelFor` partitions `[0, total)` into statically chunked
 /// contiguous index ranges (the same base-plus-remainder split for every
@@ -32,7 +33,9 @@
 /// every call site either writes results into per-index slots or combines
 /// per-chunk partials with an order-independent reduction (e.g.
 /// `SampleSet::Finalize`), so results are bit-identical for every pool
-/// size and thread count.
+/// size and thread count. `RunReads` uses one chunk per worker as a
+/// self-scheduling loop over an atomic read cursor, which the same two
+/// rules keep deterministic.
 
 #include <atomic>
 #include <condition_variable>

@@ -1,16 +1,21 @@
 // Tests for minor embeddings: chain/embedding validation, TRIAD clique
-// embeddings, in-cell cliques, clustered placement, pair matching, and
-// cross-chain coupler enumeration.
+// embeddings, in-cell cliques, clustered placement, pair matching,
+// cross-chain coupler enumeration, and the read-out of embedded paper
+// instances against a naive reference.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "embedding/capacity.h"
 #include "embedding/clique_in_cell.h"
 #include "embedding/clustered.h"
+#include "embedding/embedded_qubo.h"
 #include "embedding/embedding.h"
 #include "embedding/triad.h"
+#include "harness/paper_workload.h"
+#include "mapping/logical_mapping.h"
 #include "util/rng.h"
 
 namespace qmqo {
@@ -491,6 +496,132 @@ TEST(CapacityTest, MeasuredDropsWithDefects) {
   ChimeraGraph graph(2, 2, 4);
   for (int k = 0; k < 4; ++k) graph.SetBroken(graph.IdOf(0, 0, 1, k), true);
   EXPECT_EQ(MeasuredMaxQueries(graph, 5), 3);
+}
+
+// --------------------------------------------------------------------
+// Read-out: Unembed against the naive full-round descent
+// --------------------------------------------------------------------
+
+/// What `EmbeddedQubo::Unembed` must return: a majority vote per chain
+/// (ties toward 0), then greedy rounds that re-evaluate every variable, in
+/// order, until a round flips nothing (at most 100 rounds).
+std::vector<uint8_t> ReferenceUnembed(const qubo::QuboProblem& logical,
+                                      const EmbeddedQubo& embedded,
+                                      const std::vector<uint8_t>& physical_x,
+                                      int* flipping_rounds = nullptr) {
+  std::vector<uint8_t> logical_x(
+      static_cast<size_t>(embedded.num_logical_vars()), 0);
+  for (int var = 0; var < embedded.num_logical_vars(); ++var) {
+    const std::vector<int>& members = embedded.chain_members(var);
+    int ones = 0;
+    for (int member : members) ones += physical_x[static_cast<size_t>(member)];
+    logical_x[static_cast<size_t>(var)] =
+        2 * ones > static_cast<int>(members.size()) ? 1 : 0;
+  }
+  bool improved = true;
+  int rounds = 0;
+  for (; improved && rounds < 100; ++rounds) {
+    improved = false;
+    for (int var = 0; var < logical.num_vars(); ++var) {
+      if (logical.FlipDelta(logical_x, var) < 0.0) {
+        logical_x[static_cast<size_t>(var)] ^= 1;
+        improved = true;
+      }
+    }
+  }
+  if (flipping_rounds != nullptr) *flipping_rounds = rounds - (improved ? 0 : 1);
+  return logical_x;
+}
+
+// 200 seeded paper instances (2 to 5 plans per query, integral costs and
+// savings, so exactly-zero flip deltas are common), each read out from
+// consistent, partly broken and fully random physical assignments.
+TEST(UnembedTest, MatchesFullRoundDescentOnPaperInstances) {
+  ChimeraGraph graph(4, 4, 4);
+  int repaired_reads = 0;
+  int broken_reads = 0;
+  for (int seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(static_cast<uint64_t>(seed) + 1000);
+    harness::PaperWorkloadOptions workload;
+    workload.plans_per_query = 2 + seed % 4;
+    workload.num_queries = rng.UniformInt(3, 12);
+    workload.saving_probability = 0.7;
+    auto instance = harness::GeneratePaperInstance(graph, workload, &rng);
+    ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+    auto mapping = mapping::LogicalMapping::Create(instance->problem);
+    ASSERT_TRUE(mapping.ok()) << mapping.status().ToString();
+    auto embedded =
+        EmbeddedQubo::Create(mapping->qubo(), instance->embedding, graph);
+    ASSERT_TRUE(embedded.ok()) << embedded.status().ToString();
+    const int num_logical = embedded->num_logical_vars();
+    const int num_physical = embedded->num_physical_vars();
+    for (int read = 0; read < 12; ++read) {
+      std::vector<uint8_t> physical_x;
+      if (read % 3 == 2) {
+        physical_x.resize(static_cast<size_t>(num_physical));
+        for (uint8_t& bit : physical_x) bit = rng.Bernoulli(0.5) ? 1 : 0;
+      } else {
+        std::vector<uint8_t> logical_x(static_cast<size_t>(num_logical));
+        for (uint8_t& bit : logical_x) bit = rng.Bernoulli(0.3) ? 1 : 0;
+        physical_x = embedded->EmbedAssignment(logical_x);
+        if (read % 3 == 1) {
+          for (uint8_t& bit : physical_x) {
+            if (rng.Bernoulli(0.2)) bit ^= 1;
+          }
+        }
+      }
+      if (!embedded->ChainsConsistent(physical_x)) ++broken_reads;
+      const std::vector<uint8_t> expected =
+          ReferenceUnembed(mapping->qubo(), *embedded, physical_x);
+      ASSERT_EQ(embedded->Unembed(physical_x), expected) << "read " << read;
+      // An all-zero QUBO never flips anything: the bare majority vote.
+      if (expected != ReferenceUnembed(qubo::QuboProblem(num_logical),
+                                       *embedded, physical_x)) {
+        ++repaired_reads;
+      }
+    }
+  }
+  // The instances exercise both the majority vote and the descent.
+  EXPECT_GT(broken_reads, 400);
+  EXPECT_GT(repaired_reads, 400);
+}
+
+// On an MQO energy one flipping round always suffices (after it every
+// query holds exactly one plan, and the penalties make every single flip
+// uphill). Frustrated random QUBOs on TRIAD cliques need several, which
+// is where a variable left clean must be re-evaluated once a neighbour
+// flips.
+TEST(UnembedTest, MatchesFullRoundDescentOnFrustratedQubos) {
+  ChimeraGraph graph(3, 3, 4);
+  int multi_round_reads = 0;
+  for (int seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(static_cast<uint64_t>(seed) + 5000);
+    const int n = rng.UniformInt(4, 12);
+    qubo::QuboProblem logical(n);
+    for (int i = 0; i < n; ++i) {
+      logical.AddLinear(i, rng.UniformInt(-3, 3));
+      for (int j = i + 1; j < n; ++j) {
+        if (rng.Bernoulli(0.6)) logical.AddQuadratic(i, j, rng.UniformInt(-4, 4));
+      }
+    }
+    auto embedding = TriadEmbedder::Embed(n, graph);
+    ASSERT_TRUE(embedding.ok()) << embedding.status().ToString();
+    auto embedded = EmbeddedQubo::Create(logical, *embedding, graph);
+    ASSERT_TRUE(embedded.ok()) << embedded.status().ToString();
+    for (int read = 0; read < 8; ++read) {
+      std::vector<uint8_t> physical_x(
+          static_cast<size_t>(embedded->num_physical_vars()));
+      for (uint8_t& bit : physical_x) bit = rng.Bernoulli(0.5) ? 1 : 0;
+      int rounds = 0;
+      const std::vector<uint8_t> expected =
+          ReferenceUnembed(logical, *embedded, physical_x, &rounds);
+      ASSERT_EQ(embedded->Unembed(physical_x), expected) << "read " << read;
+      if (rounds >= 2) ++multi_round_reads;
+    }
+  }
+  EXPECT_GT(multi_round_reads, 100);
 }
 
 }  // namespace

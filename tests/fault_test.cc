@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anneal/dwave_simulator.h"
@@ -292,6 +293,72 @@ TEST_F(DeviceFaultTest, ProgramFaultFailsTheCallWithTypedError) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_GT(faults.FaultCount("device.program"), 0);
+}
+
+// A programming failure at a later gauge ends the call before any read
+// runs, after exactly the fault decisions a gauge-by-gauge loop makes
+// first: per gauge, latency, program, then each read's dropout and chain
+// break. The status text and per-site counts below were recorded from
+// that loop (which ran each gauge's reads before programming the next);
+// fixed seeds, not QMQO_CHAOS_SEED, because the values are pinned.
+TEST(DeviceProgramFaultTest, LaterGaugeFailureKeepsStatusAndSiteCounts) {
+  Rng rng(31);
+  qubo::QuboProblem problem(12);
+  for (int i = 0; i < 12; ++i) {
+    problem.AddLinear(i, rng.UniformReal(-2.0, 2.0));
+    for (int j = i + 1; j < 12; ++j) {
+      if (rng.Bernoulli(0.4)) {
+        problem.AddQuadratic(i, j, rng.UniformReal(-2.0, 2.0));
+      }
+    }
+  }
+  for (anneal::DeviceBackend backend :
+       {anneal::DeviceBackend::kSimulatedAnnealing,
+        anneal::DeviceBackend::kSimulatedQuantumAnnealing}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "backend " << static_cast<int>(backend)
+                                      << ", " << threads << " threads");
+      util::FaultInjector faults(3);
+      util::FaultSpec stuck;
+      stuck.probability = 0.1;
+      faults.Arm("device.stuck_qubit", stuck);
+      util::FaultSpec latency;
+      latency.probability = 0.5;
+      latency.latency_ms = 1.5;
+      faults.Arm("device.latency", latency);
+      util::FaultSpec program;
+      program.probability = 0.25;  // first fires at gauge 3 of epoch 1
+      faults.Arm("device.program", program);
+      util::FaultSpec dropout;
+      dropout.probability = 0.2;
+      faults.Arm("device.read_dropout", dropout);
+      util::FaultSpec chain_break;
+      chain_break.probability = 0.25;
+      faults.Arm("device.chain_break", chain_break);
+
+      anneal::DWaveOptions options;
+      options.backend = backend;
+      options.num_reads = 40;
+      options.num_gauges = 5;
+      options.sa_sweeps = 16;
+      options.sqa.num_slices = 4;
+      options.sqa.sweeps = 8;
+      options.seed = 3;
+      options.faults = &faults;
+      options.fault_epoch = 1;
+      options.num_threads = threads;
+      auto result = anneal::DWaveSimulator(options).Sample(problem);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().ToString(),
+                "Internal: injected programming-cycle failure (gauge 3, "
+                "epoch 1)");
+      const std::vector<std::pair<std::string, int64_t>> expected = {
+          {"device.stuck_qubit", 1}, {"device.latency", 4},
+          {"device.program", 1},     {"device.read_dropout", 8},
+          {"device.chain_break", 2}};
+      EXPECT_EQ(faults.Counts(), expected);
+    }
+  }
 }
 
 TEST_F(DeviceFaultTest, ReadDropoutShrinksRawReads) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <ostream>
@@ -244,16 +245,18 @@ uint64_t CostBits(const MqoProblem& problem, const MqoSolution& solution) {
 
 struct DescentCase {
   uint64_t seed;
-  int plans_per_query;
+  int plans_per_query;         ///< 0 = each query draws 2 to 5 plans
   double sharing_probability;  ///< 0 = no savings at all
   bool integral;               ///< small integer weights: many tied deltas
   double unselected_share;     ///< share of queries left kUnselected
+  bool uniform = false;        ///< one cost and one saving value: all ties
 };
 
 void PrintTo(const DescentCase& c, std::ostream* out) {
   *out << "seed " << c.seed << ", " << c.plans_per_query << " plans, sharing "
        << c.sharing_probability << (c.integral ? ", integral" : "")
-       << ", unselected " << c.unselected_share;
+       << (c.uniform ? ", uniform" : "") << ", unselected "
+       << c.unselected_share;
 }
 
 class SwapDescentProperty : public ::testing::TestWithParam<DescentCase> {};
@@ -266,10 +269,13 @@ TEST_P(SwapDescentProperty, MatchesFullRescanReference) {
     MqoProblem problem;
     const int num_queries = rng.UniformInt(3, 40);
     for (int q = 0; q < num_queries; ++q) {
+      const int plans = param.plans_per_query > 0 ? param.plans_per_query
+                                                  : rng.UniformInt(2, 5);
       std::vector<double> costs;
-      for (int k = 0; k < param.plans_per_query; ++k) {
-        costs.push_back(param.integral ? rng.UniformInt(1, 9)
-                                       : rng.UniformReal(1.0, 10.0));
+      for (int k = 0; k < plans; ++k) {
+        costs.push_back(param.uniform    ? 5.0
+                        : param.integral ? rng.UniformInt(1, 9)
+                                         : rng.UniformReal(1.0, 10.0));
       }
       problem.AddQuery(costs);
     }
@@ -279,8 +285,9 @@ TEST_P(SwapDescentProperty, MatchesFullRescanReference) {
         if (!rng.Bernoulli(param.sharing_probability)) continue;
         ASSERT_TRUE(problem
                         .AddSaving(a, b,
-                                   param.integral ? rng.UniformInt(1, 6)
-                                                  : rng.UniformReal(0.1, 6.0))
+                                   param.uniform    ? 2.0
+                                   : param.integral ? rng.UniformInt(1, 6)
+                                                    : rng.UniformReal(0.1, 6.0))
                         .ok());
       }
     }
@@ -288,7 +295,7 @@ TEST_P(SwapDescentProperty, MatchesFullRescanReference) {
     for (QueryId q = 0; q < num_queries; ++q) {
       if (rng.Bernoulli(param.unselected_share)) continue;
       start.Select(q, problem.first_plan(q) +
-                          rng.UniformInt(0, param.plans_per_query - 1));
+                          rng.UniformInt(0, problem.num_plans_of(q) - 1));
     }
 
     MqoSolution expected = start;
@@ -319,7 +326,41 @@ INSTANTIATE_TEST_SUITE_P(
                       DescentCase{6, 2, 0.5, true, 0.0},
                       DescentCase{7, 3, 0.4, true, 0.25},
                       DescentCase{8, 5, 0.3, false, 0.5},
-                      DescentCase{9, 2, 0.3, true, 0.8}));
+                      DescentCase{9, 2, 0.3, true, 0.8},
+                      DescentCase{10, 4, 0.3, true, 0.1},
+                      DescentCase{11, 0, 0.3, false, 0.2},
+                      DescentCase{12, 0, 0.4, true, 0.0, true},
+                      DescentCase{13, 3, 0.5, true, 0.3, true}));
+
+// A NaN swap delta fails every `<` comparison, so the full scan never picks
+// it; the tournament must not either, wherever the NaN plan sits.
+TEST(SwapDescentTest, NanDeltaNeverWins) {
+  for (int nan_plan = 0; nan_plan < 6; ++nan_plan) {
+    MqoProblem problem;
+    std::vector<double> costs = {4.0, 3.0, 9.0, 1.0, 7.0, 2.0};
+    costs[static_cast<size_t>(nan_plan)] = std::nan("");
+    problem.AddQuery({costs[0], costs[1]});
+    problem.AddQuery({costs[2], costs[3]});
+    problem.AddQuery({costs[4], costs[5]});
+    ASSERT_TRUE(problem.AddSaving(1, 3, 2.0).ok());
+    ASSERT_TRUE(problem.AddSaving(3, 5, 1.0).ok());
+    MqoSolution start(3);
+    start.Select(0, 0);
+    start.Select(1, 2);
+    start.Select(2, 4);
+    MqoSolution expected = start;
+    const int expected_swaps = ReferenceSwapDescent(problem, &expected);
+    MqoSolution actual = start;
+    EXPECT_EQ(SwapDescent(problem, &actual), expected_swaps)
+        << "NaN plan " << nan_plan;
+    EXPECT_TRUE(actual == expected) << "NaN plan " << nan_plan;
+    for (QueryId q = 0; q < 3; ++q) {
+      if (actual.selected(q) != start.selected(q)) {
+        EXPECT_NE(actual.selected(q), nan_plan);
+      }
+    }
+  }
+}
 
 TEST(SwapDescentTest, PaperExampleReachesTheSharedOptimum) {
   MqoProblem problem = PaperExample();

@@ -18,6 +18,7 @@
 #include "harness/resilient_solver.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace qmqo {
@@ -391,6 +392,68 @@ TEST(TraceTest, ReadOutWallsFitInsideTheAttempt) {
       ++attempts_with_readout;
     }
     EXPECT_GT(attempts_with_readout, 0);
+  }
+}
+
+// The device runs every gauge's reads in one fan-out, so a gauge span's
+// wall time is its programming cycle plus its reads' share of the fan-out:
+// the gauge spans add up to at most the anneal span, their read tags add
+// up to the call's reads, and each gauge's modeled time is still its reads
+// at 376 us each plus the latency injected into its cycle.
+TEST(TraceTest, GaugeSpansAddUpInsideTheAnnealSpan) {
+  chimera::ChimeraGraph graph(3, 3, 4);
+  harness::PaperWorkloadOptions workload;
+  workload.plans_per_query = 2;
+  Rng rng(6);
+  auto instance = harness::GeneratePaperInstance(graph, workload, &rng);
+  ASSERT_TRUE(instance.ok()) << instance.status().ToString();
+  util::FaultInjector faults(1);
+  util::FaultSpec slow_first_cycle;
+  slow_first_cycle.fail_first = 1;  // cycle key 0: gauge 0 of attempt 0
+  slow_first_cycle.latency_ms = 5.0;
+  faults.Arm("device.latency", slow_first_cycle);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    SolveTrace trace;
+    harness::QuantumMqoOptions options;
+    options.device.num_reads = 90;
+    options.device.num_gauges = 4;  // 22, 22, 22 and 24 reads
+    options.device.sa_sweeps = 32;
+    options.device.num_threads = threads;
+    options.faults = &faults;
+    options.trace = &trace;
+    auto result = harness::SolveQuantumMqo(instance->problem,
+                                           instance->embedding, graph, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    const std::vector<Span>& spans = trace.spans();
+    int anneal = -1;
+    for (size_t i = 0; i < spans.size(); ++i) {
+      if (spans[i].name == "pipeline.anneal") anneal = static_cast<int>(i);
+    }
+    ASSERT_GE(anneal, 0);
+    double gauge_wall_ms = 0.0;
+    int64_t reads = 0;
+    int gauges = 0;
+    for (const Span& span : spans) {
+      if (span.parent != anneal || span.name != "anneal.gauge") continue;
+      int64_t gauge_reads = 0;
+      for (const auto& [key, value] : span.tags) {
+        if (key == "reads") gauge_reads = std::stoll(value);
+      }
+      const double latency_ms = gauges == 0 ? 5.0 : 0.0;
+      EXPECT_DOUBLE_EQ(span.modeled_ms,
+                       static_cast<double>(gauge_reads) * 376.0 / 1000.0 +
+                           latency_ms)
+          << "gauge " << gauges;
+      EXPECT_GE(span.wall_ms, 0.0);
+      gauge_wall_ms += span.wall_ms;
+      reads += gauge_reads;
+      ++gauges;
+    }
+    EXPECT_EQ(gauges, 4);
+    EXPECT_EQ(reads, 90);
+    EXPECT_LE(gauge_wall_ms, spans[static_cast<size_t>(anneal)].wall_ms);
   }
 }
 

@@ -208,6 +208,27 @@ TEST(PackedArenaTest, ResizeAndStoreFillSlotsOutOfOrder) {
   EXPECT_EQ(pool.ToBytes(3), expected[3]);
 }
 
+TEST(PackedArenaTest, EraseSlotsKeepsTheRestInOrder) {
+  const int n = 130;  // three words per slot, a partial last word
+  Rng rng(12);
+  PackedAssignments pool(n);
+  std::vector<std::vector<uint8_t>> stored;
+  for (int slot = 0; slot < 7; ++slot) {
+    stored.push_back(RandomBytes(n, &rng));
+    pool.AppendBytes(stored.back());
+  }
+  pool.EraseSlots({1, 0, 0, 1, 1, 0, 0});
+  ASSERT_EQ(pool.size(), 4);
+  EXPECT_EQ(pool.ToBytes(0), stored[1]);
+  EXPECT_EQ(pool.ToBytes(1), stored[2]);
+  EXPECT_EQ(pool.ToBytes(2), stored[5]);
+  EXPECT_EQ(pool.ToBytes(3), stored[6]);
+  pool.EraseSlots({0, 0, 0, 0});
+  EXPECT_EQ(pool.size(), 4);
+  pool.EraseSlots({1, 1, 1, 1});
+  EXPECT_TRUE(pool.empty());
+}
+
 TEST(PackedArenaTest, MemoryFootprintIsWordsNotBytes) {
   const int n = 2048;
   PackedAssignments pool(n);

@@ -1,11 +1,20 @@
 // Determinism of the parallel read engine: for a fixed seed, serial and
 // multi-threaded execution (1, 2, 8 workers) must produce *identical*
 // SampleSets — same assignments, energies, occurrence counts, and order —
-// for SA, SQA, and the device simulator.
+// for SA, SQA, and the device simulator. The device suites also run with
+// every device fault site armed from QMQO_CHAOS_SEED (this suite carries
+// the "chaos" label, so CI sweeps it across seeds and sanitizers).
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "anneal/dwave_simulator.h"
@@ -14,6 +23,8 @@
 #include "anneal/simulated_annealer.h"
 #include "anneal/sqa.h"
 #include "qubo/qubo.h"
+#include "util/executor.h"
+#include "util/fault.h"
 #include "util/rng.h"
 
 namespace qmqo {
@@ -21,6 +32,12 @@ namespace anneal {
 namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
+
+uint64_t ChaosSeed() {
+  const char* env = std::getenv("QMQO_CHAOS_SEED");
+  if (env == nullptr || *env == '\0') return 1;
+  return static_cast<uint64_t>(std::strtoull(env, nullptr, 10));
+}
 
 /// Binary encoding of `value` as a `width`-bit 0/1 assignment (the packed
 /// arena stores bits, not multi-valued bytes).
@@ -193,6 +210,125 @@ TEST(ParallelDeterminismTest, DeviceSimulatorSqaBackendMatchesSerial) {
     ExpectIdentical(serial->samples, parallel->samples);
   }
 }
+
+/// Arms all five device fault sites. A programming failure ends the call,
+/// so that site fires rarely; the others fire often enough that dropped,
+/// corrupted and stuck reads, and latency, show up in most calls.
+void ArmDeviceFaults(util::FaultInjector* faults) {
+  util::FaultSpec program;
+  program.probability = 0.03;
+  faults->Arm("device.program", program);
+  util::FaultSpec latency;
+  latency.probability = 0.4;
+  latency.latency_ms = 2.5;
+  faults->Arm("device.latency", latency);
+  util::FaultSpec dropout;
+  dropout.probability = 0.15;
+  faults->Arm("device.read_dropout", dropout);
+  util::FaultSpec stuck;
+  stuck.probability = 0.1;
+  faults->Arm("device.stuck_qubit", stuck);
+  util::FaultSpec chain_break;
+  chain_break.probability = 0.2;
+  chain_break.intensity = 2;
+  faults->Arm("device.chain_break", chain_break);
+}
+
+/// Everything of a device call that must not depend on which worker
+/// claimed which read (wall times excluded).
+void ExpectSameDeviceCall(const Result<DeviceResult>& expected,
+                          const Result<DeviceResult>& actual) {
+  ASSERT_EQ(expected.ok(), actual.ok()) << actual.status().ToString();
+  if (!expected.ok()) {
+    EXPECT_EQ(expected.status().ToString(), actual.status().ToString());
+    return;
+  }
+  ExpectIdentical(expected->samples, actual->samples);
+  EXPECT_EQ(expected->raw_reads, actual->raw_reads);
+  EXPECT_EQ(expected->dropped_reads, actual->dropped_reads);
+  EXPECT_EQ(expected->injected_latency_ms, actual->injected_latency_ms);
+  EXPECT_EQ(expected->faults_injected, actual->faults_injected);
+  ASSERT_EQ(expected->gauge_timings.size(), actual->gauge_timings.size());
+  for (size_t g = 0; g < expected->gauge_timings.size(); ++g) {
+    const GaugeTiming& want = expected->gauge_timings[g];
+    const GaugeTiming& got = actual->gauge_timings[g];
+    EXPECT_EQ(want.gauge, got.gauge);
+    EXPECT_EQ(want.reads, got.reads);
+    EXPECT_EQ(want.dropped_reads, got.dropped_reads);
+    EXPECT_EQ(want.injected_latency_ms, got.injected_latency_ms);
+  }
+}
+
+/// Runs `call` with one worker of `pool` held by a sleeping task, so the
+/// call's reads are claimed by a different set of threads, in a different
+/// order, than on an idle pool.
+template <typename Call>
+auto WithOneWorkerAsleep(util::Executor* pool, const Call& call) {
+  std::atomic<int> started{0};
+  std::thread holder([&]() {
+    pool->ParallelFor(2, 2, [&](int, int, int) {
+      started.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    });
+  });
+  // Both chunks running: the holder thread and one pool worker sleep.
+  while (started.load() < 2) std::this_thread::yield();
+  auto result = call();
+  holder.join();
+  return result;
+}
+
+class DeviceClaimOrderTest : public ::testing::TestWithParam<DeviceBackend> {};
+
+TEST_P(DeviceClaimOrderTest, FaultedCallIsIdenticalForAnyClaimOrder) {
+  const uint64_t seed = ChaosSeed();
+  Rng rng(seed * 7919 + 48);
+  qubo::QuboProblem problem = RandomQubo(14, 0.4, &rng);
+  util::FaultInjector faults(seed);
+  ArmDeviceFaults(&faults);
+  DWaveOptions options;
+  options.backend = GetParam();
+  // Enough reads per worker that the capped worker-local sets compact.
+  options.num_reads = 401;
+  options.num_gauges = 4;  // uneven split: the last gauge holds 101 reads
+  options.sa_sweeps = 24;
+  options.sqa.num_slices = 4;
+  options.sqa.sweeps = 16;
+  options.seed = seed + 100;
+  options.record_reads = true;
+  options.max_samples = 4;  // top-k retention in every worker-local set
+  options.faults = &faults;
+  int faulted_calls = 0;
+  for (uint64_t epoch = 0; epoch < 3; ++epoch) {
+    SCOPED_TRACE(testing::Message() << "epoch " << epoch);
+    options.fault_epoch = epoch;
+    options.num_threads = 1;
+    options.executor = nullptr;
+    const Result<DeviceResult> serial = DWaveSimulator(options).Sample(problem);
+    if (serial.ok() && serial->dropped_reads > 0) ++faulted_calls;
+    util::Executor pool(4);
+    options.executor = &pool;
+    for (int threads : {1, 2, 4, 8}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads");
+      options.num_threads = threads;
+      ExpectSameDeviceCall(serial, DWaveSimulator(options).Sample(problem));
+      ExpectSameDeviceCall(serial, WithOneWorkerAsleep(&pool, [&]() {
+                             return DWaveSimulator(options).Sample(problem);
+                           }));
+    }
+  }
+  EXPECT_GT(faulted_calls, 0) << "no call completed with dropped reads";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, DeviceClaimOrderTest,
+    ::testing::Values(DeviceBackend::kSimulatedAnnealing,
+                      DeviceBackend::kSimulatedQuantumAnnealing),
+    [](const ::testing::TestParamInfo<DeviceBackend>& info) {
+      return std::string(info.param == DeviceBackend::kSimulatedAnnealing
+                             ? "Sa"
+                             : "Sqa");
+    });
 
 TEST(ParallelDeterminismTest, DeviceCallSpawnsZeroThreadsPerGauge) {
   // The acceptance criterion of the executor subsystem: a multi-gauge,
