@@ -46,14 +46,20 @@ inline int BenchThreads() {
 }
 
 /// Sweep kernel for the annealing engines, from QMQO_BENCH_KERNEL:
-/// "scalar" (default, the bit-exact reference), "checkerboard", or
-/// "checkerboard_fast" (see anneal/sweep_kernel.h for the contracts).
-/// Unrecognized values fall back to scalar.
+/// "scalar" (default, the bit-exact reference) or "checkerboard" (see
+/// anneal/sweep_kernel.h for the contracts). Any other value exits the
+/// bench with status 2, so a stale name never benches the wrong kernel.
 inline anneal::SweepKernel BenchKernel() {
   const char* env = std::getenv("QMQO_BENCH_KERNEL");
   anneal::SweepKernel kernel = anneal::SweepKernel::kScalar;
-  if (env != nullptr && *env != '\0') {
-    anneal::ParseSweepKernel(env, &kernel);
+  if (env != nullptr && *env != '\0' &&
+      !anneal::ParseSweepKernel(env, &kernel)) {
+    std::fprintf(stderr,
+                 "QMQO_BENCH_KERNEL=%s is not a sweep kernel; accepted "
+                 "names: %s, %s\n",
+                 env, anneal::SweepKernelName(anneal::SweepKernel::kScalar),
+                 anneal::SweepKernelName(anneal::SweepKernel::kCheckerboard));
+    std::exit(2);
   }
   return kernel;
 }
@@ -187,7 +193,8 @@ inline harness::ExperimentConfig MakeClassConfig(const PaperClass& cls,
   config.workload.num_queries = cls.num_queries;
   // The paper's saving constant is unspecified; 2.0 is the calibration
   // where the quantum-advantage shape of Figures 4-6 holds while instances
-  // stay tractable for the exact baselines (see EXPERIMENTS.md).
+  // stay tractable for the exact baselines (README, "Substitutions and
+  // assumptions").
   config.workload.saving_scale = 2.0;
   config.num_instances = FullScale() ? 20 : 3;
   // Paper: 1e5 ms per algorithm. Full scale uses 10 s (the curves are flat

@@ -5,9 +5,10 @@
 //
 // Two readings are reproduced:
 //  (a) the paper classes with *time-to-best-found* under a time cap (our
-//      from-scratch branch-and-bound finds the final incumbent quickly but
-//      cannot complete CPLEX-grade optimality proofs at 500+ queries — a
-//      documented substitution gap, see EXPERIMENTS.md);
+//      from-scratch branch-and-bound, the stand-in for the paper's CPLEX
+//      ILP, finds the final incumbent quickly but cannot complete
+//      CPLEX-grade optimality proofs at 500+ queries; see README,
+//      "Substitutions and assumptions");
 //  (b) a proof-time growth sweep over sub-chip sizes where proofs finish,
 //      showing Table 1's actual message: optimization time grows steeply
 //      with the query count.

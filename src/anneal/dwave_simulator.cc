@@ -74,7 +74,7 @@ struct ProgrammedGauge {
   /// The programmed problem as the kernels read it.
   qubo::IsingView view{qubo::CsrView(), nullptr};
   Schedule beta{0.0, 0.0, ScheduleShape::kGeometric};
-  /// Checkerboard kernels only: the per-programming coloring (SQA uses
+  /// Checkerboard kernel only: the per-programming coloring (SQA uses
   /// just its coloring).
   std::optional<SweepPlan> plan;
   /// Read r of this gauge anneals with `reads_rng.Fork(r)`.

@@ -95,7 +95,7 @@ struct DWaveOptions {
   util::Executor* executor = nullptr;
   /// Metropolis sweep kernel for both backends (see anneal/sweep_kernel.h):
   /// `kScalar` (default) keeps the frozen bit-exact streams; the
-  /// checkerboard kernels trade them for throughput. Gauge transforms,
+  /// checkerboard kernel trades them for throughput. Gauge transforms,
   /// control-error noise, and read forking are kernel-independent.
   SweepKernel sweep_kernel = SweepKernel::kScalar;
   /// Streaming top-k retention for `DeviceResult::samples` (0 = unlimited),

@@ -45,11 +45,11 @@ struct SaOptions {
   /// process-wide `util::Executor::Shared()` pool. Never owned.
   util::Executor* executor = nullptr;
   /// Metropolis sweep implementation (see anneal/sweep_kernel.h). The
-  /// default `kScalar` is the bit-exact reference; the checkerboard
-  /// kernels trade the frozen random stream for throughput (and, with
-  /// `kCheckerboardFast`, a bounded-error exp).
+  /// default `kScalar` is the bit-exact reference; `kCheckerboard` trades
+  /// the frozen random stream for throughput and keeps the exact
+  /// Metropolis test.
   SweepKernel sweep_kernel = SweepKernel::kScalar;
-  /// Concurrent chunks for the checkerboard kernels' per-class decide loop
+  /// Concurrent chunks for the checkerboard kernel's per-class decide loop
   /// *within* one read (single-read latency): 1 = inline (default), 0 =
   /// hardware concurrency. Results are bit-identical at any value; ignored
   /// by `kScalar`. Runs on the same `executor` as the read fan-out.

@@ -28,7 +28,7 @@ class SqaState {
         spins_(static_cast<size_t>(num_slices) * static_cast<size_t>(n_)),
         fields_(spins_.size()) {
     // Kernel-matched initialization: the scalar kernel keeps the frozen
-    // one-Bernoulli-per-spin stream, the checkerboard kernels bit-unpack
+    // one-Bernoulli-per-spin stream, the checkerboard kernel bit-unpacks
     // 64 spins per draw.
     InitSpins(kernel, rng, &spins_);
     const qubo::CsrView& csr = ising_.csr;
@@ -140,11 +140,10 @@ void ScalarStep(SqaState* state, int n, int p, double beta_slice,
 /// slices, which this slice's sweep never touches — making the fused
 /// decide-and-flip loop equivalent to an all-at-once class update. Global
 /// moves keep their sequential order (their deltas chain through shared
-/// neighbors) but draw uniforms batched. `fast` selects FastExp over the
-/// exact `MetropolisAccept`.
+/// neighbors) but draw uniforms batched.
 void CheckerboardStep(SqaState* state, const qubo::Coloring& coloring, int n,
-                      int p, double beta_slice, double j_perp, bool fast,
-                      FastRng* rng, std::vector<double>* uniforms) {
+                      int p, double beta_slice, double j_perp, FastRng* rng,
+                      std::vector<double>* uniforms) {
   double* u = uniforms->data();
   for (int k = 0; k < p; ++k) {
     const int8_t* slice = state->slice_spins(k);
@@ -161,10 +160,9 @@ void CheckerboardStep(SqaState* state, const qubo::Coloring& coloring, int n,
         double neighbors_sum =
             static_cast<double>(prev[i]) + static_cast<double>(next[i]);
         double total = delta + 2.0 * j_perp * s_i * neighbors_sum;
-        bool accept = total <= 0.0 ||
-                      (fast ? u[m] < FastExp(-beta_slice * total)
-                            : MetropolisAccept(u[m], beta_slice * total));
-        if (accept) state->Flip(k, i);
+        if (total <= 0.0 || MetropolisAccept(u[m], beta_slice * total)) {
+          state->Flip(k, i);
+        }
       }
     }
   }
@@ -174,10 +172,7 @@ void CheckerboardStep(SqaState* state, const qubo::Coloring& coloring, int n,
     for (int k = 0; k < p; ++k) {
       delta += state->ProblemDelta(k, i);
     }
-    bool accept = delta <= 0.0 ||
-                  (fast ? u[i] < FastExp(-beta_slice * delta)
-                        : MetropolisAccept(u[i], beta_slice * delta));
-    if (accept) {
+    if (delta <= 0.0 || MetropolisAccept(u[i], beta_slice * delta)) {
       for (int k = 0; k < p; ++k) {
         state->Flip(k, i);
       }
@@ -221,13 +216,12 @@ double SimulatedQuantumAnnealer::AnnealRead(const qubo::IsingView& ising,
   const double beta_slice = options_.beta / static_cast<double>(p);
   const SweepKernel kernel = options_.sweep_kernel;
   const bool scalar = kernel == SweepKernel::kScalar;
-  const bool fast = kernel == SweepKernel::kCheckerboardFast;
   assert(scalar || coloring != nullptr);
   SqaState state(ising, p, kernel, rng);
   std::vector<double> uniforms(
       scalar ? 0
              : static_cast<size_t>(std::max(n, coloring->max_class_size())));
-  // Bulk uniforms for the checkerboard kernels: one xoshiro256++ stream per
+  // Bulk uniforms for the checkerboard kernel: one xoshiro256++ stream per
   // read, seeded from the read's Rng (see sweep_kernel.h).
   FastRng fast_rng(scalar ? 0 : rng->Next());
 
@@ -241,8 +235,8 @@ double SimulatedQuantumAnnealer::AnnealRead(const qubo::IsingView& ising,
     if (scalar) {
       ScalarStep(&state, n, p, beta_slice, j_perp, rng);
     } else {
-      CheckerboardStep(&state, *coloring, n, p, beta_slice, j_perp, fast,
-                       &fast_rng, &uniforms);
+      CheckerboardStep(&state, *coloring, n, p, beta_slice, j_perp, &fast_rng,
+                       &uniforms);
     }
   }
 

@@ -57,8 +57,8 @@ struct SqaOptions {
   util::Executor* executor = nullptr;
   /// Sweep kernel for the single-site slice sweeps and global moves (see
   /// anneal/sweep_kernel.h): `kScalar` is the frozen bit-exact reference;
-  /// the checkerboard kernels sweep each slice in color order with batched
-  /// per-class uniforms (and, for `kCheckerboardFast`, `FastExp`).
+  /// `kCheckerboard` sweeps each slice in color order with batched
+  /// per-class uniforms and the same exact Metropolis test.
   SweepKernel sweep_kernel = SweepKernel::kScalar;
   /// Streaming top-k retention for the returned SampleSet (0 = unlimited);
   /// see SaOptions::max_samples.
@@ -80,7 +80,7 @@ class SimulatedQuantumAnnealer {
   /// One read: anneals a fresh replica stack drawn from `rng` (the read's
   /// own forked stream), writes the best slice's spins to `spins` and
   /// returns its exact energy on `ising`. `coloring` is the problem's
-  /// `qubo::ColorGraph` for the checkerboard kernels, ignored (may be null)
+  /// `qubo::ColorGraph` for the checkerboard kernel, ignored (may be null)
   /// for `kScalar`. `SampleIsing` runs this per read, and so does the
   /// device model's SQA backend inside its single read fan-out; the
   /// options' read count, seed, threads and cap are not used here.

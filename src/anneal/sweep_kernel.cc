@@ -53,11 +53,11 @@ void ScalarSweeps(const qubo::IsingView& ising, const Schedule& beta,
   }
 }
 
-/// The two-color sweep shared by `kCheckerboard` and `kCheckerboardFast`
-/// (`fast` selects FastExp over the exact `MetropolisAccept`). The
-/// whole read runs in the plan's color-major permuted space — spins and
-/// fields are walked sequentially within a class, with no member
-/// indirection — and is permuted back into `spins` at the end. Per class:
+/// The two-color sweep of `kCheckerboard`, deciding each proposal with the
+/// exact `MetropolisAccept`. The whole read runs in the plan's color-major
+/// permuted space — spins and fields are walked sequentially within a
+/// class, with no member indirection — and is permuted back into `spins`
+/// at the end. Per class:
 /// members are never adjacent, so no member's cached field depends on
 /// another member's flip, making the decide results independent of apply
 /// order. That admits two equivalent schedules: a fused decide-and-flip
@@ -66,7 +66,7 @@ void ScalarSweeps(const qubo::IsingView& ising, const Schedule& beta,
 /// stays serial — bit-identical at any `sweep_threads`, because the
 /// uniforms are drawn in the same per-class order either way.
 void CheckerboardSweeps(const qubo::IsingView& ising, const SweepPlan& plan,
-                        const Schedule& beta, int sweeps, bool fast, Rng* rng,
+                        const Schedule& beta, int sweeps, Rng* rng,
                         std::vector<int8_t>* spins, util::Executor* executor,
                         int sweep_threads) {
   const int n = ising.num_spins();
@@ -122,21 +122,11 @@ void CheckerboardSweeps(const qubo::IsingView& ising, const SweepPlan& plan,
         // Fused decide-and-flip, drawing inline: NextUniform() at member k
         // yields exactly FillUniform's u[k], so this path is bit-identical
         // to the split path below while skipping the buffer round trip.
-        if (fast) {
-          for (int q = begin_q; q < begin_q + count; ++q) {
-            double u_k = fast_rng.NextUniform();
-            // arg = -b * delta; arg >= 0 is the downhill delta <= 0 case.
-            double arg = 2.0 * b * static_cast<double>(s[q]) *
+        for (int q = begin_q; q < begin_q + count; ++q) {
+          double u_k = fast_rng.NextUniform();
+          double delta = -2.0 * static_cast<double>(s[q]) *
                          field[static_cast<size_t>(q)];
-            if (arg >= 0.0 || u_k < FastExp(arg)) flip(q);
-          }
-        } else {
-          for (int q = begin_q; q < begin_q + count; ++q) {
-            double u_k = fast_rng.NextUniform();
-            double delta = -2.0 * static_cast<double>(s[q]) *
-                           field[static_cast<size_t>(q)];
-            if (delta <= 0.0 || MetropolisAccept(u_k, b * delta)) flip(q);
-          }
+          if (delta <= 0.0 || MetropolisAccept(u_k, b * delta)) flip(q);
         }
         continue;
       }
@@ -147,20 +137,11 @@ void CheckerboardSweeps(const qubo::IsingView& ising, const SweepPlan& plan,
           executor, count, sweep_threads,
           [&](int begin, int end, int chunk) {
             (void)chunk;
-            if (fast) {
-              for (int k = begin; k < end; ++k) {
-                qubo::VarId q = begin_q + k;
-                double arg = 2.0 * b * static_cast<double>(s[q]) *
+            for (int k = begin; k < end; ++k) {
+              qubo::VarId q = begin_q + k;
+              double delta = -2.0 * static_cast<double>(s[q]) *
                              field[static_cast<size_t>(q)];
-                a[k] = arg >= 0.0 || u[k] < FastExp(arg);
-              }
-            } else {
-              for (int k = begin; k < end; ++k) {
-                qubo::VarId q = begin_q + k;
-                double delta = -2.0 * static_cast<double>(s[q]) *
-                               field[static_cast<size_t>(q)];
-                a[k] = delta <= 0.0 || MetropolisAccept(u[k], b * delta);
-              }
+              a[k] = delta <= 0.0 || MetropolisAccept(u[k], b * delta);
             }
           });
       for (int k = 0; k < count; ++k) {
@@ -213,8 +194,6 @@ const char* SweepKernelName(SweepKernel kernel) {
       return "scalar";
     case SweepKernel::kCheckerboard:
       return "checkerboard";
-    case SweepKernel::kCheckerboardFast:
-      return "checkerboard_fast";
   }
   return "scalar";
 }
@@ -224,8 +203,6 @@ bool ParseSweepKernel(const std::string& name, SweepKernel* kernel) {
     *kernel = SweepKernel::kScalar;
   } else if (name == "checkerboard") {
     *kernel = SweepKernel::kCheckerboard;
-  } else if (name == "checkerboard_fast") {
-    *kernel = SweepKernel::kCheckerboardFast;
   } else {
     return false;
   }
@@ -267,9 +244,8 @@ void RunSweeps(const qubo::IsingView& ising, const SweepPlan* plan,
     return;
   }
   assert(plan != nullptr);
-  CheckerboardSweeps(ising, *plan, beta, sweeps,
-                     kernel == SweepKernel::kCheckerboardFast, rng, spins,
-                     executor, sweep_threads);
+  CheckerboardSweeps(ising, *plan, beta, sweeps, rng, spins, executor,
+                     sweep_threads);
 }
 
 }  // namespace anneal

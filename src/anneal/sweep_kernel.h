@@ -4,8 +4,8 @@
 /// \file sweep_kernel.h
 /// Selectable Metropolis sweep kernels for the annealing samplers.
 ///
-/// A sweep proposes one flip per spin. The three kernels trade sweep order
-/// and arithmetic for throughput:
+/// A sweep proposes one flip per spin. The two kernels trade sweep order
+/// for throughput; both make the exact Metropolis decision:
 ///
 ///  * `kScalar` — the original per-spin loop, in ascending spin order with
 ///    per-proposal RNG draws (`Rng::UniformReal`) and the exact Metropolis
@@ -25,11 +25,6 @@
 ///    Exact double-precision math (the exact Metropolis test); the random
 ///    stream differs from `kScalar` (batched draws, color order), so
 ///    trajectories differ while energy quality is statistically equivalent.
-///  * `kCheckerboardFast` — the same sweep with the fast-math opt-in:
-///    acceptance probabilities from `FastExp` (bounded relative error
-///    `kFastExpMaxRelError`, documented below) instead of `std::exp`. Still
-///    deterministic per seed and thread count; NOT covered by the
-///    bit-exactness contract of the default path.
 ///
 /// The exact Metropolis test is `MetropolisAccept` (below): it decides
 /// exactly `u < std::exp(-β·Δ)`, bit for bit, but a cubic lower bound on
@@ -38,13 +33,12 @@
 /// the local and global moves of both exact SQA steps (anneal/sqa.cc).
 ///
 /// Initialization pairs with the kernels: `kScalar` keeps the legacy
-/// one-`Bernoulli`-per-spin `RandomSpins`, the checkerboard kernels use
+/// one-`Bernoulli`-per-spin `RandomSpins`, the checkerboard kernel uses
 /// `RandomSpinsBatched` (64 spins bit-unpacked per `Rng::Next` call), whose
 /// sequence is pinned by `tests/sweep_kernel_test.cc`.
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -64,62 +58,14 @@ namespace anneal {
 enum class SweepKernel {
   kScalar,
   kCheckerboard,
-  kCheckerboardFast,
 };
 
-/// Canonical names: "scalar", "checkerboard", "checkerboard_fast".
+/// Canonical names: "scalar", "checkerboard".
 const char* SweepKernelName(SweepKernel kernel);
 
 /// Parses a canonical name (as accepted by QMQO_BENCH_KERNEL). Returns
 /// false (leaving `kernel` untouched) on anything else.
 bool ParseSweepKernel(const std::string& name, SweepKernel* kernel);
-
-/// Upper bound on |FastExp(x) - exp(x)| / exp(x) over x in [-708, 0] (the
-/// full range the kernels evaluate: -beta * delta with delta > 0; arguments
-/// below -708 return exactly 0, where exp(x) < 4e-308 is far beneath the
-/// smallest nonzero uniform 2^-53). Asserted by tests/sweep_kernel_test.cc.
-inline constexpr double kFastExpMaxRelError = 5e-7;
-
-/// Bounded-error exp for non-positive arguments: exp(x) = 2^k * exp(r) with
-/// k = round(x / ln 2) and a degree-6 Taylor polynomial for exp(r),
-/// |r| <= ln(2)/2. The rounding uses the shift-by-1.5*2^52 trick and the
-/// 2^k scaling is exact exponent-bit arithmetic, so the whole function is
-/// branch-free straight-line code (no libm — `std::floor` without SSE4.1
-/// codegen would cost more than the exp it replaces; the underflow guard
-/// is a `maxsd`-style clamp, not a branch). Arguments below -708 are
-/// clamped: the result ~3e-308 stays beneath every nonzero 53-bit uniform,
-/// so Metropolis tests behave as exp = 0 there. Within [-708, 0] the
-/// relative error is the polynomial truncation error, bounded by
-/// `kFastExpMaxRelError`.
-inline double FastExp(double x) {
-  x = x < -708.0 ? -708.0 : x;  // branchless clamp keeps the result normal
-  const double kLog2E = 1.4426950408889634;
-  const double kLn2 = 0.6931471805599453;
-  // 1.5 * 2^52: adding it forces rounding of x * log2(e) to an integer in
-  // the mantissa's low bits (|x * log2(e)| < 2^31 here, so the low 32 bits
-  // hold it exactly, two's complement).
-  const double kRoundMagic = 6755399441055744.0;
-  double shifted = x * kLog2E + kRoundMagic;
-  int64_t shifted_bits;
-  std::memcpy(&shifted_bits, &shifted, sizeof(shifted_bits));
-  const int64_t k = static_cast<int32_t>(shifted_bits);
-  double r = x - (shifted - kRoundMagic) * kLn2;
-  double p =
-      1.0 +
-      r * (1.0 +
-           r * (0.5 +
-                r * (1.0 / 6.0 +
-                     r * (1.0 / 24.0 +
-                          r * (1.0 / 120.0 + r * (1.0 / 720.0))))));
-  // p is in [2^-1/2, 2^1/2]; adding k to its exponent field multiplies by
-  // 2^k exactly. The clamp above keeps the result normal (k >= -1021).
-  uint64_t bits;
-  std::memcpy(&bits, &p, sizeof(bits));
-  bits += static_cast<uint64_t>(k) << 52;
-  double out;
-  std::memcpy(&out, &bits, sizeof(out));
-  return out;
-}
 
 /// The exact Metropolis test for an uphill proposal: returns exactly
 /// `u < std::exp(-bd)` for `bd = β·Δ >= 0`, but settles most proposals
@@ -150,7 +96,7 @@ inline bool MetropolisAccept(double u, double bd) {
 }
 
 /// Per-problem precomputation shared by every read of a sampler call: the
-/// color classes the checkerboard kernels sweep, plus a **color-major
+/// color classes the checkerboard kernel sweeps, plus a **color-major
 /// permuted copy** of the problem — vertices renumbered so each class is
 /// contiguous (`coloring().class_members` is the permuted→original map).
 /// The class pass then walks spins and fields sequentially with no member
@@ -186,8 +132,8 @@ class SweepPlan {
 void RandomSpins(Rng* rng, std::vector<int8_t>* spins);
 
 /// Fills `spins` with uniform random ±1, bit-unpacking 64 spins per
-/// `Rng::Next` call. Used by the checkerboard kernels (whose streams
-/// already differ from `kScalar`); the sequence for a given seed is part of
+/// `Rng::Next` call. Used by the checkerboard kernel (whose stream
+/// already differs from `kScalar`); the sequence for a given seed is part of
 /// the documented seed contract and pinned by a regression test.
 void RandomSpinsBatched(Rng* rng, std::vector<int8_t>* spins);
 
@@ -200,7 +146,7 @@ void InitSpins(SweepKernel kernel, Rng* rng, std::vector<int8_t>* spins);
 /// passes a view of its `IsingProblem`, the device model a view of a
 /// programmed gauge's flat arrays. `plan` may be null for `kScalar` and must outlive the call
 /// otherwise (build it once per problem, share across reads). The
-/// checkerboard kernels fan their per-class decide loop across
+/// checkerboard kernel fans its per-class decide loop across
 /// `sweep_threads` concurrent chunks of `executor` (null = the process-wide
 /// shared pool; <= 1 = inline) with bit-identical results at any thread
 /// count, because the class's uniforms are drawn serially up front and each

@@ -47,8 +47,8 @@ struct ExperimentConfig {
   /// Quantum pipeline configuration. The device model's Metropolis sweep
   /// kernel rides along here (`quantum.device.sweep_kernel`; see
   /// anneal/sweep_kernel.h): `kScalar` keeps the class results bit-exact
-  /// across PRs, the checkerboard kernels trade that stream for
-  /// throughput. The bench drivers plumb QMQO_BENCH_KERNEL into it.
+  /// across PRs, `kCheckerboard` trades that stream for throughput. The
+  /// bench drivers plumb QMQO_BENCH_KERNEL into it.
   QuantumMqoOptions quantum;
   uint64_t seed = 42;
   /// Worker threads for the instance fan-out: 1 = serial (default),

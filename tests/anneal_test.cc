@@ -521,7 +521,7 @@ TEST(DWaveSimulatorTest, DeterministicGivenSeed) {
 // A coupling that programs to exactly 0 (here: a zero-weight term with no
 // control error) is dropped from the programmed problem, as the hardware
 // drops it. The device must then behave exactly as if the term were never
-// there — also for the checkerboard kernels, whose coloring the term would
+// there — also for the checkerboard kernel, whose coloring the term would
 // change: with it, {0, 1, 2} is an odd cycle and the graph needs a greedy
 // three-coloring; without it, a two-coloring.
 TEST(DWaveSimulatorTest, CouplingProgrammedToZeroIsDropped) {
@@ -540,8 +540,7 @@ TEST(DWaveSimulatorTest, CouplingProgrammedToZeroIsDropped) {
   for (DeviceBackend backend : {DeviceBackend::kSimulatedAnnealing,
                                 DeviceBackend::kSimulatedQuantumAnnealing}) {
     for (SweepKernel kernel :
-         {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-          SweepKernel::kCheckerboardFast}) {
+         {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
       SCOPED_TRACE(testing::Message()
                    << "backend " << static_cast<int>(backend) << ", kernel "
                    << SweepKernelName(kernel));

@@ -122,8 +122,7 @@ void CheckGolden(const std::string& name, const std::string& serialized) {
 }
 
 constexpr SweepKernel kKernels[] = {SweepKernel::kScalar,
-                                    SweepKernel::kCheckerboard,
-                                    SweepKernel::kCheckerboardFast};
+                                    SweepKernel::kCheckerboard};
 constexpr int kThreadCounts[] = {1, 2, 4};
 
 TEST(GoldenDeterminismTest, SimulatedAnnealerSnapshots) {

@@ -1,15 +1,16 @@
-// Tests for the sweep-kernel layer: CSR graph coloring, the bit-exact vs
-// fast-math kernel contracts (FastExp error bound, the screened exact
-// Metropolis test, frozen scalar streams against naive reference loops,
-// batched initialization pinning), field-update equivalence of the
-// checkerboard sweep, thread-count determinism, and energy-quality parity
-// of all three kernels on a 512-spin Chimera glass.
+// Tests for the sweep-kernel layer: CSR graph coloring, the kernel
+// contracts (the screened exact Metropolis test, frozen scalar streams
+// against naive reference loops, batched initialization pinning),
+// field-update equivalence of the checkerboard sweep, thread-count
+// determinism, and energy-quality parity of both kernels on a 512-spin
+// Chimera glass.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "anneal/schedule.h"
@@ -140,9 +141,7 @@ TEST(ColoringTest, EdgelessGraphUsesOneClass) {
 // --------------------------------------------------------------------
 
 TEST(SweepKernelTest, NamesRoundTrip) {
-  for (SweepKernel kernel :
-       {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-        SweepKernel::kCheckerboardFast}) {
+  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
     SweepKernel parsed = SweepKernel::kScalar;
     EXPECT_TRUE(ParseSweepKernel(SweepKernelName(kernel), &parsed));
     EXPECT_EQ(parsed, kernel);
@@ -150,53 +149,12 @@ TEST(SweepKernelTest, NamesRoundTrip) {
   SweepKernel untouched = SweepKernel::kCheckerboard;
   EXPECT_FALSE(ParseSweepKernel("warp", &untouched));
   EXPECT_EQ(untouched, SweepKernel::kCheckerboard);
-}
-
-// --------------------------------------------------------------------
-// FastExp
-// --------------------------------------------------------------------
-
-TEST(FastExpTest, RelativeErrorBoundedOverKernelRange) {
-  // Dense scan of the full argument range the kernels can produce.
-  double max_rel = 0.0;
-  for (double x = -708.0; x <= 0.0; x += 1e-3) {
-    double exact = std::exp(x);
-    double rel = std::abs(FastExp(x) - exact) / exact;
-    max_rel = std::max(max_rel, rel);
-  }
-  EXPECT_LT(max_rel, kFastExpMaxRelError);
-  EXPECT_DOUBLE_EQ(FastExp(0.0), 1.0);
-  // Beyond the clamp the result stays beneath every nonzero 53-bit
-  // uniform, so Metropolis tests treat it as zero.
-  EXPECT_LT(FastExp(-1e9), 1e-300);
-}
-
-TEST(FastExpTest, RealizedBetaDeltaRangeStaysInBound) {
-  // The realized arguments are -beta * delta with beta from the suggested
-  // schedule and |delta| <= 2 * (|h_i| + sum_j |J_ij|); sample that range
-  // for the 512-spin glass the parity test below anneals.
-  Rng rng(3);
-  qubo::IsingProblem glass = ChimeraGlass(8, 8, &rng);
-  glass.Finalize();
-  auto [hot, cold] = SuggestBetaRange(glass);
-  double max_delta = 0.0;
-  for (qubo::VarId i = 0; i < glass.num_spins(); ++i) {
-    double reach = std::abs(glass.field(i));
-    for (auto [j, w] : glass.neighbors(i)) {
-      (void)j;
-      reach += std::abs(w);
-    }
-    max_delta = std::max(max_delta, 2.0 * reach);
-  }
-  double lo = -cold * max_delta;
-  ASSERT_LT(lo, 0.0);
-  for (int k = 0; k <= 20000; ++k) {
-    double x = lo * (static_cast<double>(k) / 20000.0);
-    if (x < -708.0) continue;
-    double exact = std::exp(x);
-    EXPECT_LT(std::abs(FastExp(x) - exact) / exact, kFastExpMaxRelError)
-        << "at x = " << x << " (hot " << hot << ", cold " << cold << ")";
-  }
+  // The removed fast-math kernel's name ("checkerboard" + "_fast") is no
+  // longer accepted.
+  const std::string removed =
+      std::string(SweepKernelName(SweepKernel::kCheckerboard)) + "_fast";
+  EXPECT_FALSE(ParseSweepKernel(removed, &untouched));
+  EXPECT_EQ(untouched, SweepKernel::kCheckerboard);
 }
 
 // --------------------------------------------------------------------
@@ -531,9 +489,7 @@ TEST(CheckerboardTest, ZeroBetaSweepFlipsEverySpinLikeScalar) {
   glass.Finalize();
   SweepPlan plan(glass);
   Schedule zero_beta{0.0, 0.0, ScheduleShape::kLinear};
-  for (SweepKernel kernel :
-       {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-        SweepKernel::kCheckerboardFast}) {
+  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
     for (int sweeps : {1, 3}) {
       std::vector<int8_t> spins(static_cast<size_t>(glass.num_spins()));
       Rng read_rng(99);
@@ -569,28 +525,25 @@ bool SameSamples(const SampleSet& a, const SampleSet& b) {
 TEST(CheckerboardTest, BitIdenticalAcrossReadAndSweepThreads) {
   Rng rng(17);
   qubo::IsingProblem glass = ChimeraGlass(3, 3, &rng);
-  for (SweepKernel kernel :
-       {SweepKernel::kCheckerboard, SweepKernel::kCheckerboardFast}) {
-    SaOptions options;
-    options.num_reads = 8;
-    options.sweeps_per_read = 48;
-    options.seed = 21;
-    options.sweep_kernel = kernel;
-    SampleSet serial = SimulatedAnnealer(options).SampleIsing(glass);
-    for (int num_threads : {2, 4}) {
-      SaOptions parallel = options;
-      parallel.num_threads = num_threads;
-      EXPECT_TRUE(
-          SameSamples(serial, SimulatedAnnealer(parallel).SampleIsing(glass)))
-          << SweepKernelName(kernel) << " num_threads=" << num_threads;
-    }
-    for (int sweep_threads : {0, 2, 3}) {
-      SaOptions fanned = options;
-      fanned.sweep_threads = sweep_threads;
-      EXPECT_TRUE(
-          SameSamples(serial, SimulatedAnnealer(fanned).SampleIsing(glass)))
-          << SweepKernelName(kernel) << " sweep_threads=" << sweep_threads;
-    }
+  SaOptions options;
+  options.num_reads = 8;
+  options.sweeps_per_read = 48;
+  options.seed = 21;
+  options.sweep_kernel = SweepKernel::kCheckerboard;
+  SampleSet serial = SimulatedAnnealer(options).SampleIsing(glass);
+  for (int num_threads : {2, 4}) {
+    SaOptions parallel = options;
+    parallel.num_threads = num_threads;
+    EXPECT_TRUE(
+        SameSamples(serial, SimulatedAnnealer(parallel).SampleIsing(glass)))
+        << "num_threads=" << num_threads;
+  }
+  for (int sweep_threads : {0, 2, 3}) {
+    SaOptions fanned = options;
+    fanned.sweep_threads = sweep_threads;
+    EXPECT_TRUE(
+        SameSamples(serial, SimulatedAnnealer(fanned).SampleIsing(glass)))
+        << "sweep_threads=" << sweep_threads;
   }
 }
 
@@ -602,11 +555,9 @@ TEST(SweepKernelTest, KernelsReachParityOn512SpinGlass) {
   Rng rng(23);
   qubo::IsingProblem glass = ChimeraGlass(8, 8, &rng);  // 512 spins
   ASSERT_EQ(glass.num_spins(), 512);
-  double best[3] = {0, 0, 0};
+  double best[2] = {0, 0};
   int index = 0;
-  for (SweepKernel kernel :
-       {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-        SweepKernel::kCheckerboardFast}) {
+  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
     SaOptions options;
     options.num_reads = 24;
     options.sweeps_per_read = 256;
@@ -621,12 +572,10 @@ TEST(SweepKernelTest, KernelsReachParityOn512SpinGlass) {
                   1e-9);
     }
   }
-  // All kernels sample the same Boltzmann target: best-of-24 energies
+  // Both kernels sample the same Boltzmann target: best-of-24 energies
   // agree within a few percent on a glass this size.
-  for (int k = 1; k < 3; ++k) {
-    EXPECT_NEAR(best[k], best[0], 0.03 * std::abs(best[0]))
-        << "kernel " << k << " vs scalar: " << best[k] << " vs " << best[0];
-  }
+  EXPECT_NEAR(best[1], best[0], 0.03 * std::abs(best[0]))
+      << "checkerboard vs scalar: " << best[1] << " vs " << best[0];
 }
 
 // --------------------------------------------------------------------
@@ -646,9 +595,7 @@ TEST(SqaKernelTest, AllKernelsFindGroundStateOfSmallProblem) {
   }
   auto exact = qubo::SolveExhaustive(problem);
   ASSERT_TRUE(exact.ok());
-  for (SweepKernel kernel :
-       {SweepKernel::kScalar, SweepKernel::kCheckerboard,
-        SweepKernel::kCheckerboardFast}) {
+  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
     SqaOptions options;
     options.num_reads = 12;
     options.num_slices = 8;
@@ -670,7 +617,7 @@ TEST(SqaKernelTest, CheckerboardDeterministicAcrossThreads) {
   options.num_slices = 6;
   options.sweeps = 24;
   options.seed = 41;
-  options.sweep_kernel = SweepKernel::kCheckerboardFast;
+  options.sweep_kernel = SweepKernel::kCheckerboard;
   SampleSet serial = SimulatedQuantumAnnealer(options).SampleIsing(glass);
   for (int num_threads : {2, 3}) {
     SqaOptions parallel = options;
