@@ -90,7 +90,6 @@ LoadResult RunLoad(const chimera::ChimeraGraph& graph,
   options.round_width = 4;
   options.pipeline.device.num_reads = bench::FullScale() ? 300 : 50;
   options.pipeline.device.num_gauges = 4;
-  options.pipeline.device.num_threads = 1;
   options.pipeline.device.seed = kSeed + 1;
   options.policy.seed = kSeed;
   options.policy.max_attempts_per_backend = 1;

@@ -236,12 +236,13 @@ Result<QuantumMqoResult> SolveQuantumMqo(const mqo::MqoProblem& problem,
         busy_ms > 0.0 ? wall_ms * (unembed_busy_ms / busy_ms) : 0.0;
     trace->SetWallAt(unembed_span, unembed_wall_ms);
     trace->TagAt(unembed_span, "reads", static_cast<int64_t>(total_reads));
-    trace->TagAt(unembed_span, "threads", static_cast<int64_t>(num_chunks));
+    trace->WallTagAt(unembed_span, "threads",
+                     static_cast<int64_t>(num_chunks));
     trace->SetWallAt(merge_span, wall_ms - unembed_wall_ms);
     trace->TagAt(merge_span, "swap_descent",
                  static_cast<int64_t>(options.postprocess_swap_descent ? 1
                                                                        : 0));
-    trace->TagAt(merge_span, "threads", static_cast<int64_t>(num_chunks));
+    trace->WallTagAt(merge_span, "threads", static_cast<int64_t>(num_chunks));
   }
   return result;
 }

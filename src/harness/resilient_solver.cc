@@ -38,6 +38,13 @@ const char* FaultSiteOf(SolveBackend backend) {
   return "solve.unknown";
 }
 
+// Failures a retry on the same rung cannot fix. Injected faults are
+// Internal and timeouts are Timeout, so both stay retryable.
+bool IsDeterministicFailure(const Status& status) {
+  return status.code() == StatusCode::kFailedPrecondition ||
+         status.code() == StatusCode::kInvalidArgument;
+}
+
 // What one attempt produced. `modeled_ms` is the simulated-latency debit
 // the orchestrator charges to the deadline (injected latency; the backoff
 // that may follow is added by the ladder). An MQO answer lands in
@@ -201,8 +208,8 @@ SolveReport RunSolve(const SolvePolicy& policy,
   util::Deadline deadline = policy.deadline_ms > 0.0
                                 ? util::Deadline::AfterMillis(policy.deadline_ms)
                                 : util::Deadline::Infinite();
-  // Jitter draws happen only after deterministic failures, so the stream
-  // stays reproducible for equal (seed, faults, policy).
+  // Jitter draws happen only after retryable failures, which are pure in
+  // (seed, faults, policy), so the stream stays reproducible.
   Rng jitter_rng = Rng(policy.seed).Fork(0xbac0ffULL);
   obs::SolveTrace* trace = options.trace;
   const int max_attempts = std::max(1, policy.max_attempts_per_backend);
@@ -337,7 +344,12 @@ SolveReport RunSolve(const SolvePolicy& policy,
       }
 
       last_error = rec.status;
-      if (attempt < max_attempts && policy.backoff_initial_ms > 0.0) {
+      // A deterministic failure (e.g. a saving with no coupler in the
+      // layout) would fail the same way again: degrade now, with no
+      // backoff and no jitter draw.
+      const bool retryable = !IsDeterministicFailure(rec.status);
+      if (retryable && attempt < max_attempts &&
+          policy.backoff_initial_ms > 0.0) {
         double backoff =
             policy.backoff_initial_ms *
             std::pow(policy.backoff_multiplier, attempt - 1);
@@ -360,6 +372,7 @@ SolveReport RunSolve(const SolvePolicy& policy,
       }
       close_attempt_span(rec);
       report.attempts.push_back(std::move(rec));
+      if (!retryable) break;
     }
     if (tried) ++backends_tried;
   }

@@ -13,7 +13,9 @@
 /// pipeline in a `SolvePolicy`:
 ///
 ///  * a per-request deadline (`util::Deadline`) and per-attempt timeout;
-///  * bounded retries with exponential backoff and seeded jitter;
+///  * bounded retries with exponential backoff and seeded jitter, for
+///    failures a retry can fix (a deterministic `FailedPrecondition` or
+///    `InvalidArgument` degrades at once);
 ///  * retry-with-fresh-gauges when a device answer comes back as a
 ///    chain-break storm (each retry reseeds the gauge stream, the paper's
 ///    own remedy for gauge-dependent noise). Retries share a per-request
@@ -87,7 +89,9 @@ struct SolvePolicy {
   /// plus modeled (injected-latency) time exceeds it is classified
   /// `Status::Timeout` and its result discarded.
   double attempt_timeout_ms = 0.0;
-  /// Attempts per backend before degrading (>= 1).
+  /// Attempts per backend before degrading (>= 1). A deterministic
+  /// failure (`FailedPrecondition` or `InvalidArgument`) degrades after
+  /// one attempt, with no backoff: a retry would fail the same way.
   int max_attempts_per_backend = 2;
   /// Exponential backoff between retries on the same backend:
   /// initial * multiplier^(retry-1), jittered by +-`backoff_jitter`

@@ -67,6 +67,13 @@ void SolveTrace::TagAt(int index, const std::string& key, int64_t value) {
   TagAt(index, key, StrFormat("%lld", static_cast<long long>(value)));
 }
 
+void SolveTrace::WallTagAt(int index, const std::string& key,
+                          int64_t value) {
+  if (index < 0 || index >= static_cast<int>(spans_.size())) return;
+  spans_[index].wall_tags.emplace_back(
+      key, StrFormat("%lld", static_cast<long long>(value)));
+}
+
 void SolveTrace::AddModeledAt(int index, double modeled_ms) {
   if (index < 0 || index >= static_cast<int>(spans_.size())) return;
   spans_[index].modeled_ms += modeled_ms;
@@ -104,15 +111,17 @@ std::string SolveTrace::JsonLine(bool include_wall) const {
     if (include_wall) {
       out += ", \"wall_ms\": " + FormatMs(span.wall_ms);
     }
-    if (!span.tags.empty()) {
-      out += ", \"tags\": {";
-      for (size_t t = 0; t < span.tags.size(); ++t) {
-        if (t > 0) out += ", ";
-        out += "\"" + EscapeJson(span.tags[t].first) + "\": \"" +
-               EscapeJson(span.tags[t].second) + "\"";
+    bool first_tag = true;
+    auto append_tags = [&](const auto& tags) {
+      for (const auto& [key, value] : tags) {
+        out += first_tag ? ", \"tags\": {" : ", ";
+        first_tag = false;
+        out += "\"" + EscapeJson(key) + "\": \"" + EscapeJson(value) + "\"";
       }
-      out += "}";
-    }
+    };
+    append_tags(span.tags);
+    if (include_wall) append_tags(span.wall_tags);
+    if (!first_tag) out += "}";
     out += "}";
   }
   out += "]}";
@@ -130,6 +139,11 @@ std::string SolveTrace::Pretty(bool include_wall) const {
     }
     for (const auto& [key, value] : span.tags) {
       out += " " + key + "=" + value;
+    }
+    if (include_wall) {
+      for (const auto& [key, value] : span.wall_tags) {
+        out += " " + key + "=" + value;
+      }
     }
     out += "\n";
   }

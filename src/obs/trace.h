@@ -29,8 +29,8 @@
 ///   anneal.gauge      one per gauge transform; tags: reads, dropped
 ///   pipeline.unembed  chain unembedding + repair over all reads
 ///   pipeline.merge    per-read swap descent and evaluation; with unembed
-///                     it splits the read-out's elapsed wall time (tag
-///                     threads = read-out chunks)
+///                     it splits the read-out's elapsed wall time (wall
+///                     tag threads = read-out chunks)
 
 #include <cstdint>
 #include <string>
@@ -60,6 +60,10 @@ struct Span {
   /// Ordered key=value annotations (ints/strings rendered by the caller);
   /// order is append order, deterministic for deterministic callers.
   std::vector<std::pair<std::string, std::string>> tags;
+  /// Annotations that, like wall_ms, depend on how the work was split
+  /// across threads (e.g. read-out chunks). Exported only with
+  /// include_wall, after `tags`.
+  std::vector<std::pair<std::string, std::string>> wall_tags;
 };
 
 /// A single request's span tree. Built by one thread; no synchronization.
@@ -85,6 +89,9 @@ class SolveTrace {
   void TagAt(int index, const std::string& key, const std::string& value);
   void TagAt(int index, const std::string& key, int64_t value);
 
+  /// Appends a wall tag (see Span::wall_tags) to a specific span by index.
+  void WallTagAt(int index, const std::string& key, int64_t value);
+
   /// Adds modeled milliseconds to a specific span by index.
   void AddModeledAt(int index, double modeled_ms);
   /// Sets the wall duration of a specific span by index.
@@ -100,12 +107,12 @@ class SolveTrace {
   double WallTotal(const std::string& name) const;
 
   /// One JSON object (single line): {"spans": [...]}. With
-  /// include_wall=false, wall_ms fields are omitted and the output is
-  /// deterministic for deterministic inputs.
+  /// include_wall=false, wall_ms fields and wall tags are omitted and the
+  /// output is deterministic for deterministic inputs.
   std::string JsonLine(bool include_wall) const;
 
-  /// Indented tree rendering for humans; modeled always shown, wall when
-  /// include_wall. Fault/verdict tags render inline.
+  /// Indented tree rendering for humans; modeled always shown, wall time
+  /// and wall tags when include_wall. Fault/verdict tags render inline.
   std::string Pretty(bool include_wall) const;
 
  private:

@@ -408,14 +408,14 @@ int SolveService::ProcessRound() {
             };
       }
 
+      // Every slot's reads and read-out fan out over the service's own
+      // workers: a worker done with a cheap slot claims reads of the
+      // round's slow one through the executor's nested ParallelFor.
+      // Answers do not depend on how reads are split across workers.
       slot.pipeline = options_.pipeline;
       if (slot.pipeline.faults == nullptr) slot.pipeline.faults = faults;
-      if (slot.pipeline.device.executor == nullptr) {
-        slot.pipeline.device.executor = options_.executor;
-      }
-      if (slot.pipeline.device.num_threads <= 0) {
-        slot.pipeline.device.num_threads = std::max(1, options_.num_threads);
-      }
+      slot.pipeline.device.executor = options_.executor;
+      slot.pipeline.device.num_threads = std::max(1, options_.num_threads);
 
       // A crashed worker is decided at admission (pure in seed and id, so
       // any thread would decide identically) and skips the solve entirely.

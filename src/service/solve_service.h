@@ -42,7 +42,8 @@
 /// Determinism contract (the same discipline as the rest of the repo):
 /// scheduling runs in *rounds*. Round formation, deadline expiry, shed
 /// level, and breaker consultation all happen serially; the round's solves
-/// fan out on a `util::Executor` into per-index outcome slots; outcomes
+/// fan out on a `util::Executor` into per-index outcome slots, and each
+/// slot's reads fan out again on the same executor; outcomes
 /// commit serially in index order (feeding breakers and counters). The
 /// round width is deliberately independent of the worker-thread count, and
 /// all queue-wait/latency accounting uses the service's *modeled* clock —
@@ -89,17 +90,21 @@ struct ServiceOptions {
   /// `num_threads` so round composition — and therefore every outcome and
   /// counter — is identical at any worker count. <= 0 becomes 4.
   int round_width = 4;
-  /// Worker parallelism of a round's solve fan-out (affects wall time
-  /// only, never results).
+  /// Worker parallelism of a round's solve fan-out and of every slot's
+  /// reads and read-out (affects wall time only, never results). A worker
+  /// done with its own slot claims reads of the round's slower slots
+  /// through the executor's nested `ParallelFor`.
   int num_threads = 1;
-  /// Worker pool (never owned; null = the process-wide shared pool).
+  /// Worker pool for the round and every slot's reads (never owned; null =
+  /// the process-wide shared pool).
   util::Executor* executor = nullptr;
   /// Per-request solve policy template. The service forks `policy.seed`
   /// per request id, installs its breaker gate and shed entry rung, and
   /// rewrites `deadline_ms` to the request's remaining budget.
   harness::SolvePolicy policy;
-  /// Pipeline options template for the device rung (executor and faults
-  /// are filled in by the service when unset).
+  /// Pipeline options template for every rung's samplers. The service
+  /// overwrites `device.num_threads` and `device.executor` with its own
+  /// `num_threads` and `executor`, and fills in `faults` when unset.
   harness::QuantumMqoOptions pipeline;
   /// Hardware graph solves run against (never owned; required).
   const chimera::ChimeraGraph* graph = nullptr;

@@ -48,7 +48,6 @@ class ObsDeterminismTest : public ::testing::Test {
     options.pipeline.device.num_reads = 30;
     options.pipeline.device.num_gauges = 3;
     options.pipeline.device.sa_sweeps = 16;
-    options.pipeline.device.num_threads = 1;
     options.pipeline.device.seed = ChaosSeed() + 7;
     options.policy.seed = ChaosSeed();
     options.policy.max_attempts_per_backend = 1;
@@ -70,6 +69,7 @@ struct ObsDump {
   std::string traces;
   size_t trace_count = 0;
   int64_t settled = 0;
+  int readouts = 0;  ///< pipeline.unembed spans across all traces
 };
 
 TEST_F(ObsDeterminismTest, SnapshotsAndTracesAreIdenticalAcrossThreads) {
@@ -105,8 +105,11 @@ TEST_F(ObsDeterminismTest, SnapshotsAndTracesAreIdenticalAcrossThreads) {
 
     SolveService service(options);
     int submitted = 0;
-    for (int wave = 0; wave < 3; ++wave) {
-      for (int i = 0; i < 4; ++i) {
+    // Waves of uneven size push queue fill through every shed threshold,
+    // so the run also holds device slots whose reads and read-out fan out
+    // over the service's workers.
+    for (int wave_size : {8, 2, 0, 1, 8, 2, 0, 1, 8, 2, 0, 1}) {
+      for (int i = 0; i < wave_size; ++i) {
         RequestPriority priority = (submitted % 3 == 0)
                                        ? RequestPriority::kInteractive
                                        : RequestPriority::kBatch;
@@ -121,14 +124,17 @@ TEST_F(ObsDeterminismTest, SnapshotsAndTracesAreIdenticalAcrossThreads) {
 
     // Every committed trace must be a finished tree: no leaked open spans
     // (error paths are required to close their spans too).
+    ObsDump dump;
     for (const obs::SolveTrace& trace : tracer.traces()) {
       EXPECT_FALSE(trace.has_open_span());
       EXPECT_FALSE(trace.spans().empty());
       if (trace.spans().empty()) continue;
       EXPECT_EQ(trace.spans()[0].name, "service.request");
+      for (const obs::Span& span : trace.spans()) {
+        if (span.name == "pipeline.unembed") ++dump.readouts;
+      }
     }
 
-    ObsDump dump;
     dump.prometheus = service.metrics().PrometheusText();
     dump.json = service.metrics().JsonText();
     dump.traces = tracer.DumpJsonLines(/*include_wall=*/false);
@@ -144,6 +150,8 @@ TEST_F(ObsDeterminismTest, SnapshotsAndTracesAreIdenticalAcrossThreads) {
   EXPECT_EQ(static_cast<int64_t>(base.trace_count), base.settled);
   EXPECT_FALSE(base.prometheus.empty());
   EXPECT_FALSE(base.traces.empty());
+  // The comparison covers device read-outs fanned out over the workers.
+  EXPECT_GT(base.readouts, 0);
 
   for (int num_threads : {2, 4}) {
     ObsDump other = run_with_threads(num_threads);

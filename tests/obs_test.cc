@@ -307,6 +307,36 @@ TEST(TraceTest, JsonLineOmitsWallWhenAsked) {
       << with_wall;
 }
 
+// A wall tag follows the worker count, so like wall_ms it appears only in
+// dumps that include wall time, after the span's deterministic tags.
+TEST(TraceTest, WallTagsExportOnlyWithWall) {
+  SolveTrace trace;
+  int root = trace.Open("root");
+  trace.Tag("reads", int64_t{30});
+  trace.WallTagAt(root, "threads", 4);
+  trace.Close(1.5);
+  EXPECT_EQ(trace.JsonLine(/*include_wall=*/false),
+            "{\"spans\": [{\"name\": \"root\", \"parent\": -1, "
+            "\"modeled_ms\": 0, \"tags\": {\"reads\": \"30\"}}]}");
+  EXPECT_EQ(trace.JsonLine(/*include_wall=*/true),
+            "{\"spans\": [{\"name\": \"root\", \"parent\": -1, "
+            "\"modeled_ms\": 0, \"wall_ms\": 1.5, \"tags\": "
+            "{\"reads\": \"30\", \"threads\": \"4\"}}]}");
+  EXPECT_EQ(trace.Pretty(/*include_wall=*/false),
+            "root  modeled=0ms reads=30\n");
+  EXPECT_EQ(trace.Pretty(/*include_wall=*/true),
+            "root  modeled=0ms wall=1.5ms reads=30 threads=4\n");
+
+  // A span with only wall tags has no "tags" object without wall time.
+  SolveTrace bare;
+  int only = bare.Open("bare");
+  bare.WallTagAt(only, "threads", 2);
+  bare.Close(0.0);
+  EXPECT_EQ(bare.JsonLine(/*include_wall=*/false),
+            "{\"spans\": [{\"name\": \"bare\", \"parent\": -1, "
+            "\"modeled_ms\": 0}]}");
+}
+
 TEST(TraceTest, ModeledTotalsSumByName) {
   SolveTrace trace;
   trace.Open("a");
@@ -381,7 +411,7 @@ TEST(TraceTest, ReadOutWallsFitInsideTheAttempt) {
         ++readout_spans;
         readout_wall_ms += span.wall_ms;
         std::string threads_tag;
-        for (const auto& [key, value] : span.tags) {
+        for (const auto& [key, value] : span.wall_tags) {
           if (key == "threads") threads_tag = value;
         }
         EXPECT_EQ(threads_tag, std::to_string(threads)) << span.name;

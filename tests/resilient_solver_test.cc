@@ -182,6 +182,53 @@ TEST_F(ResilientSolverTest, FailFirstScheduleRecoversOnRetry) {
   EXPECT_TRUE(report.attempts[1].status.ok());
 }
 
+// A saving whose two chains share no usable coupler cannot compile onto the
+// layout: the device fails with FailedPrecondition on any attempt, so the
+// ladder degrades at once. No retry, no backoff, no jitter draw.
+TEST_F(ResilientSolverTest, DeterministicFailureIsNotRetried) {
+  auto chains_touch = [&](int a, int b) {
+    for (chimera::QubitId qa : instance_.embedding.chain(a).qubits) {
+      for (chimera::QubitId qb : instance_.embedding.chain(b).qubits) {
+        if (graph_.CouplerUsable(qa, qb)) return true;
+      }
+    }
+    return false;
+  };
+  mqo::MqoProblem problem = instance_.problem;
+  bool added = false;
+  for (int a = 0; a < problem.num_plans() && !added; ++a) {
+    for (int b = a + 1; b < problem.num_plans() && !added; ++b) {
+      if (problem.query_of(a) != problem.query_of(b) && !chains_touch(a, b)) {
+        added = problem.AddSaving(a, b, 1.0).ok();
+      }
+    }
+  }
+  ASSERT_TRUE(added);
+
+  SolvePolicy policy = QuickPolicy();
+  policy.max_attempts_per_backend = 3;
+  policy.backoff_initial_ms = 50.0;
+  SolveReport report = ResilientSolver(policy).Solve(
+      problem, instance_.embedding, graph_, SmallOptions());
+
+  ASSERT_TRUE(report.ok) << report.FailureChain();
+  ASSERT_EQ(report.attempts.size(), 2u) << report.FailureChain();
+  const SolveAttempt& device = report.attempts[0];
+  EXPECT_EQ(device.backend, SolveBackend::kDevice);
+  EXPECT_EQ(device.attempt, 1);
+  EXPECT_EQ(device.status.code(), StatusCode::kFailedPrecondition)
+      << device.status.ToString();
+  EXPECT_DOUBLE_EQ(device.backoff_ms, 0.0);
+  EXPECT_EQ(report.attempts[1].backend, SolveBackend::kSqa);
+  EXPECT_EQ(report.attempts[1].attempt, 1);
+  EXPECT_EQ(report.backend, SolveBackend::kSqa);
+  EXPECT_EQ(report.total_attempts, 2);
+  EXPECT_EQ(report.retries, 0);
+  EXPECT_EQ(report.fallbacks, 1);
+  EXPECT_DOUBLE_EQ(report.total_modeled_ms, 0.0);
+  EXPECT_TRUE(mqo::ValidateSolution(problem, report.solution).ok());
+}
+
 TEST_F(ResilientSolverTest, InjectedLatencyTimesOutTheAttempt) {
   util::FaultInjector faults(ChaosSeed());
   util::FaultSpec slow;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -74,7 +75,6 @@ class SolveServiceTest : public ::testing::Test {
     options.pipeline.device.num_reads = 30;
     options.pipeline.device.num_gauges = 3;
     options.pipeline.device.sa_sweeps = 16;
-    options.pipeline.device.num_threads = 1;
     options.pipeline.device.seed = ChaosSeed() + 7;
     options.policy.seed = ChaosSeed();
     options.policy.max_attempts_per_backend = 1;
@@ -439,18 +439,24 @@ TEST_F(SolveServiceTest, ConcurrentSolvesKeepTheirOwnFaultAccounting) {
   }
 }
 
-// The tentpole acceptance test: a full chaos run — queue stalls, worker
-// crashes, brownouts, a flaky device, deadline shedding, backoff — settles
-// every request with identical per-request outcomes and bit-identical
-// metrics snapshots at 1, 2, and 4 worker threads.
+// A full chaos run (queue stalls, worker crashes, brownouts, a flaky
+// device, deadline shedding, backoff) settles every request with identical
+// per-request outcomes and bit-identical metrics snapshots at 1, 2, and 4
+// worker threads. Every slot's reads and read-out fan out over the
+// service's workers, so the template's own device thread count is
+// overwritten and must not move a result either. Waves of uneven size push
+// queue fill through every shed threshold, so the run holds greedy-shed,
+// SA-shed, brownout (SQA) and device slots next to crashed ones.
 TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
   struct RunResult {
     std::string metrics;
     int64_t accepted = 0;
     int64_t expired_in_queue = 0;
     std::vector<std::string> outcomes;
+    std::array<int, 4> entry_rungs{};
+    int device_answers = 0;
   };
-  auto run_with_threads = [&](int num_threads) {
+  auto run_with_threads = [&](int num_threads, int device_threads) {
     util::FaultInjector faults(ChaosSeed());
     util::FaultSpec stall;
     stall.probability = 1.0;  // every round ages the queue 25 modeled ms
@@ -470,6 +476,7 @@ TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
     ServiceOptions options = SmallServiceOptions();
     options.faults = &faults;
     options.num_threads = num_threads;
+    options.pipeline.device.num_threads = device_threads;
     options.queue_capacity = 8;
     options.round_width = 3;
     options.policy.max_attempts_per_backend = 2;
@@ -480,8 +487,8 @@ TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
 
     SolveService service(options);
     int submitted = 0;
-    for (int wave = 0; wave < 3; ++wave) {
-      for (int i = 0; i < 4; ++i) {
+    for (int wave_size : {8, 2, 0, 1, 8, 2, 0, 1, 8, 2, 0, 1}) {
+      for (int i = 0; i < wave_size; ++i) {
         RequestPriority priority = (submitted % 3 == 0)
                                        ? RequestPriority::kInteractive
                                        : RequestPriority::kBatch;
@@ -514,21 +521,40 @@ TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
           o.shed_degraded ? 1 : 0, o.queue_wait_modeled_ms,
           o.solve_modeled_ms, o.attempts, o.breaker_skips,
           static_cast<long long>(o.faults_observed), selected.c_str()));
+      // Only slots that ran a solve count: an expired request never
+      // reached a rung, and a crashed slot keeps its rung but runs nothing.
+      if (o.attempts >= 1) {
+        ++result.entry_rungs[static_cast<size_t>(o.entry_rung)];
+      }
+      if (o.status.ok() && o.backend == SolveBackend::kDevice) {
+        ++result.device_answers;
+      }
     }
     EXPECT_EQ(service.in_flight(), 0) << result.metrics;
     return result;
   };
 
-  RunResult serial = run_with_threads(1);
+  RunResult serial = run_with_threads(1, 1);
   EXPECT_GT(serial.accepted, 0);
   EXPECT_GT(serial.expired_in_queue, 0);
-  for (int threads : {2, 4}) {
-    RunResult parallel = run_with_threads(threads);
-    EXPECT_EQ(parallel.metrics, serial.metrics) << "threads=" << threads;
-    ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
-    for (size_t i = 0; i < serial.outcomes.size(); ++i) {
-      EXPECT_EQ(parallel.outcomes[i], serial.outcomes[i])
-          << "threads=" << threads << " outcome " << i;
+  // Solved slots entered at every rung: device, SQA, SA, and greedy; and
+  // the device answered some, so a device read fan-out ran.
+  for (size_t rung = 0; rung < serial.entry_rungs.size(); ++rung) {
+    EXPECT_GT(serial.entry_rungs[rung], 0) << "entry rung " << rung;
+  }
+  EXPECT_GT(serial.device_answers, 0);
+  for (int device_threads : {1, 4}) {
+    for (int threads : {1, 2, 4}) {
+      if (threads == 1 && device_threads == 1) continue;
+      RunResult parallel = run_with_threads(threads, device_threads);
+      EXPECT_EQ(parallel.metrics, serial.metrics)
+          << "threads=" << threads << " device_threads=" << device_threads;
+      ASSERT_EQ(parallel.outcomes.size(), serial.outcomes.size());
+      for (size_t i = 0; i < serial.outcomes.size(); ++i) {
+        EXPECT_EQ(parallel.outcomes[i], serial.outcomes[i])
+            << "threads=" << threads << " device_threads=" << device_threads
+            << " outcome " << i;
+      }
     }
   }
 }
