@@ -12,6 +12,10 @@
 // counter and both latency histograms) as the serial run — the service's
 // round scheduler must not let worker count leak into results. Results go
 // to BENCH_service.json for diff_bench.py (--metric requests_per_sec).
+// It also fails unless the burst rejected and shed requests, and unless
+// every shed request answered on the greedy last resort at its first
+// attempt at every thread count: the burst arms no brownout, so each shed
+// comes from queue pressure, and pressure shedding must cost no sampling.
 
 #include <algorithm>
 #include <cstdint>
@@ -25,6 +29,7 @@
 #include "bench_common.h"
 #include "chimera/topology.h"
 #include "harness/paper_workload.h"
+#include "harness/resilient_solver.h"
 #include "obs/trace.h"
 #include "service/solve_service.h"
 #include "util/fault.h"
@@ -47,6 +52,8 @@ struct LoadResult {
   int64_t accepted = 0;
   int64_t rejected_queue_full = 0;
   int64_t shed_degraded = 0;
+  /// Shed outcomes that did not answer on greedy at their first attempt.
+  int64_t shed_not_greedy = 0;
   std::vector<std::string> fingerprints;  // one per settled request
   std::vector<double> modeled_latency_ms;  // queue wait + solve, per request
 };
@@ -123,6 +130,12 @@ LoadResult RunLoad(const chimera::ChimeraGraph& graph,
   result.wall_ms = watch.ElapsedMillis();
   for (const service::SolveOutcome& outcome : solve_service.outcomes()) {
     result.fingerprints.push_back(Fingerprint(outcome));
+    if (outcome.shed_degraded &&
+        !(outcome.status.ok() &&
+          outcome.backend == harness::SolveBackend::kGreedy &&
+          outcome.attempts == 1)) {
+      ++result.shed_not_greedy;
+    }
     result.modeled_latency_ms.push_back(outcome.queue_wait_modeled_ms +
                                         outcome.solve_modeled_ms);
   }
@@ -172,6 +185,7 @@ int main() {
   obs::Tracer serial_tracer;
   std::string serial_prom;
   bool all_identical = true;
+  int64_t shed_not_greedy = 0;
   bench::JsonArray runs;
   for (int threads : {1, 2, 4}) {
     // Trace + snapshot the serial run only; it is the deterministic
@@ -182,6 +196,7 @@ int main() {
                       &serial_prom)
             : RunLoad(graph, instances, num_requests, threads);
     bool identical = true;
+    shed_not_greedy += result.shed_not_greedy;
     if (threads == 1) {
       serial = result;
     } else {
@@ -293,6 +308,13 @@ int main() {
   if (serial.rejected_queue_full == 0 || serial.shed_degraded == 0) {
     std::fprintf(stderr,
                  "FAIL: overload burst produced no rejects/shedding\n");
+    return 1;
+  }
+  if (shed_not_greedy > 0) {
+    std::fprintf(stderr,
+                 "FAIL: %lld shed requests did not answer on greedy at their "
+                 "first attempt\n",
+                 static_cast<long long>(shed_not_greedy));
     return 1;
   }
   return 0;

@@ -234,9 +234,9 @@ SolveReport RunSolve(const SolvePolicy& policy,
 
   Status last_error = Status::Internal("empty backend ladder");
   int backends_tried = 0;
-  // Shed-aware entry: under load the service raises `entry_rung` so the
-  // request starts at a cheaper backend. 0 keeps the full ladder and is
-  // bit-identical to the pre-shedding behavior.
+  // Entry rung: the solve service raises `entry_rung` to skip rungs (the
+  // last resort under queue pressure, past the device otherwise). 0 keeps
+  // the full ladder.
   size_t start_rung = 0;
   if (policy.entry_rung > 0 && !policy.ladder.empty()) {
     start_rung = std::min(static_cast<size_t>(policy.entry_rung),

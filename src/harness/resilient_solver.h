@@ -68,7 +68,10 @@ class FaultInjector;
 
 namespace harness {
 
-/// The degradation ladder, cheapest last.
+/// The backends of the degradation ladder, in fallback order: each rung is
+/// tried when the ones before it fail or are gated. The order is not one of
+/// cost — SQA and SA cost more than the device — only the greedy last
+/// resort is cheap.
 enum class SolveBackend : uint8_t {
   kDevice,  ///< full quantum pipeline (embedding + device model)
   kSqa,     ///< simulated quantum annealing on the logical QUBO
@@ -134,11 +137,10 @@ struct SolvePolicy {
   /// on a backend the fleet already knows is down. Must be thread-safe or
   /// effectively immutable (the service captures a per-request snapshot).
   std::function<Status(SolveBackend)> backend_gate;
-  /// First ladder rung to try (shed-aware rung selection): under queue
-  /// pressure the service raises this so overloaded traffic enters the
-  /// ladder at a cheaper backend. Clamped to [0, ladder.size() - 1];
-  /// 0 = the full ladder (default, bit-identical to the pre-shedding
-  /// behavior).
+  /// First ladder rung to try. The solve service raises it to skip rungs:
+  /// to the last resort under queue pressure, past the device for a
+  /// brownout or a missing embedding. Clamped to [0, ladder.size() - 1];
+  /// 0 = the full ladder (default).
   int entry_rung = 0;
 };
 
@@ -187,7 +189,7 @@ struct SolveReport {
   int fallbacks = 0;
   int64_t faults_observed = 0;
   /// True when the deadline expired before the answering backend ran (the
-  /// orchestrator skipped ahead to cheaper backends).
+  /// orchestrator skipped ahead to the last resort).
   bool deadline_exhausted = false;
   double total_wall_ms = 0.0;
   /// Total modeled time charged to the deadline (injected latency +

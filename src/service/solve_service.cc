@@ -37,17 +37,6 @@ std::string LeadingRequestTag(const std::string& text) {
   return "";
 }
 
-// Entry rung implied by queue occupancy at round formation: 0 = full
-// ladder, 1 = skip device (SQA first), 2 = SA first, 3 = greedy only.
-// Thresholds are inclusive so fill == threshold already sheds.
-int ShedRungForFill(const ServiceOptions& options, double fill) {
-  int rung = 0;
-  if (fill >= options.shed_device_fill) rung = 1;
-  if (fill >= options.shed_sqa_fill) rung = 2;
-  if (fill >= options.shed_sa_fill) rung = 3;
-  return rung;
-}
-
 // One round slot: everything decided serially at admission, filled in by
 // the parallel solve, then committed serially.
 struct RoundSlot {
@@ -55,7 +44,7 @@ struct RoundSlot {
   harness::SolvePolicy policy;
   harness::QuantumMqoOptions pipeline;
   bool crashed = false;  // service.worker_crash fired at admission
-  bool shed = false;     // entry rung degraded by pressure or brownout
+  bool shed = false;     // entry rung set by queue pressure or brownout
   double crash_latency_ms = 0.0;
   harness::SolveReport report;
   // Per-slot trace: the root span opens at admission (serial), solver
@@ -334,10 +323,12 @@ int SolveService::ProcessRound() {
       clock_ms_ += faults->LatencyMillis("service.queue_stall");
     }
 
-    // Shed level is measured once per round, at formation — every request
-    // claimed by the round sees the same queue-pressure decision.
-    const double fill = queue_.FillFraction();
-    const int shed_rung = ShedRungForFill(options_, fill);
+    // Queue pressure is measured once per round, at formation — every
+    // request claimed by the round sees the same shedding decision. The
+    // threshold is inclusive, so fill == shed_fill already sheds.
+    const bool pressure = queue_.FillFraction() >= options_.shed_fill;
+    const int last_rung =
+        std::max(0, static_cast<int>(options_.policy.ladder.size()) - 1);
 
     QueuedRequest request;
     while (static_cast<int>(slots.size()) < options_.round_width &&
@@ -371,16 +362,22 @@ int SolveService::ProcessRound() {
       }
 
       RoundSlot slot;
-      // Entry rung: queue pressure, a brownout fault, or a missing
-      // embedding each force the request past the device rung.
-      int entry_rung = shed_rung;
-      bool shed = shed_rung > 0;
+      // Entry rung. Queue pressure sends the request straight to the
+      // ladder's last resort, which samples nothing, so shedding frees the
+      // round instead of adding to it (SQA and SA cost more than the
+      // device). A brownout fault or a missing embedding only routes
+      // around the device, at rung 1. The rung is clamped to the ladder
+      // here, as `RunSolve` clamps it, so the outcome, the trace tag and
+      // the breaker snapshot all name the rung that runs.
+      int entry_rung = pressure ? last_rung : 0;
+      bool shed = pressure;
       if (faults != nullptr &&
           faults->ShouldFail("service.brownout", request.id)) {
         entry_rung = std::max(entry_rung, 1);
         shed = true;
       }
       if (!request.has_embedding) entry_rung = std::max(entry_rung, 1);
+      entry_rung = std::min(entry_rung, last_rung);
       if (shed) m_shed_degraded_->Increment();
       slot.shed = shed;
 

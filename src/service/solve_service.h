@@ -23,12 +23,17 @@
 ///    requests to *skip* that rung at admission, via
 ///    `SolvePolicy::backend_gate`, so a dying device stops taxing every
 ///    request's retry budget. The last-resort rung is never gated.
-///  * **Load shedding.** Queue occupancy measured at round formation
-///    degrades the ladder *entry rung* (`SolvePolicy::entry_rung`):
-///    past `shed_device_fill` new work skips the device, past
-///    `shed_sqa_fill` it also skips SQA, past `shed_sa_fill` everything
-///    goes straight to greedy. Degraded requests still complete — graceful
-///    degradation trades answer quality for throughput, never availability.
+///  * **Load shedding.** Queue occupancy is measured once per round, at
+///    formation. At or above `shed_fill`, every request the round claims
+///    enters the policy ladder at its last rung (`SolvePolicy::entry_rung`
+///    = `ladder.size() - 1`; greedy on the default ladder). The last resort
+///    samples nothing, so a shed request costs almost nothing, the queue
+///    drains, and the next rounds run the full ladder again. The middle
+///    rungs are never a shedding target: SQA and SA cost more than the
+///    device. Shed requests still complete — shedding trades answer
+///    quality for throughput, never availability. A `service.brownout`
+///    fault or a missing embedding is routing, not shedding: the request
+///    enters at rung 1, past the device.
 ///  * **Deadlines.** Each request carries a modeled deadline; requests that
 ///    age past it while still queued are shed (`expired_in_queue`) without
 ///    ever occupying a worker, and scheduled requests inherit only their
@@ -40,17 +45,18 @@
 ///    arithmetic over the registry's admission and settle counters.
 ///
 /// Determinism contract (the same discipline as the rest of the repo):
-/// scheduling runs in *rounds*. Round formation, deadline expiry, shed
-/// level, and breaker consultation all happen serially; the round's solves
-/// fan out on a `util::Executor` into per-index outcome slots, and each
-/// slot's reads fan out again on the same executor; outcomes
-/// commit serially in index order (feeding breakers and counters). The
-/// round width is deliberately independent of the worker-thread count, and
-/// all queue-wait/latency accounting uses the service's *modeled* clock —
-/// so for a fixed submission order and `QMQO_CHAOS_SEED`, per-request
-/// outcomes and every counter are bit-identical at 1, 2, or 4 worker
-/// threads. With no faults armed and no overload, a request's answer is
-/// bit-identical to calling `ResilientSolver::Solve` directly.
+/// scheduling runs in *rounds*. Round formation, deadline expiry, the
+/// shedding decision, and breaker consultation all happen serially; the
+/// round's solves fan out on a `util::Executor` into per-index outcome
+/// slots, and each slot's reads fan out again on the same executor;
+/// outcomes commit serially in index order (feeding breakers and
+/// counters). The round width is deliberately independent of the
+/// worker-thread count, and all queue-wait/latency accounting uses the
+/// service's *modeled* clock — so for a fixed submission order and
+/// `QMQO_CHAOS_SEED`, per-request outcomes and every counter are
+/// bit-identical at 1, 2, or 4 worker threads. With no faults armed and
+/// no overload, a request's answer is bit-identical to calling
+/// `ResilientSolver::Solve` directly.
 ///
 /// Fault sites queried here (see util/fault.h): "service.queue_stall"
 /// (keyed by round), "service.worker_crash" and "service.brownout" (keyed
@@ -99,7 +105,7 @@ struct ServiceOptions {
   /// the process-wide shared pool).
   util::Executor* executor = nullptr;
   /// Per-request solve policy template. The service forks `policy.seed`
-  /// per request id, installs its breaker gate and shed entry rung, and
+  /// per request id, installs its breaker gate and entry rung, and
   /// rewrites `deadline_ms` to the request's remaining budget.
   harness::SolvePolicy policy;
   /// Pipeline options template for every rung's samplers. The service
@@ -108,11 +114,9 @@ struct ServiceOptions {
   harness::QuantumMqoOptions pipeline;
   /// Hardware graph solves run against (never owned; required).
   const chimera::ChimeraGraph* graph = nullptr;
-  /// Queue fill fractions at which the entry rung degrades to SQA, SA,
-  /// and greedy respectively (measured at round formation).
-  double shed_device_fill = 0.5;
-  double shed_sqa_fill = 0.75;
-  double shed_sa_fill = 0.9;
+  /// Queue fill fraction, measured at round formation, at or above which
+  /// every request the round claims enters the ladder at its last rung.
+  double shed_fill = 0.5;
   /// Per-backend breaker configuration (one breaker per ladder backend).
   CircuitBreakerOptions breaker;
   bool breakers_enabled = true;
@@ -160,7 +164,8 @@ struct SolveOutcome {
   /// solution keeps its own instance.
   workloads::WorkloadSolution workload_solution;
   double workload_gap = 0.0;
-  /// Ladder rung the request entered at (0 = full ladder).
+  /// Ladder rung the request entered at (0 = full ladder), clamped to the
+  /// ladder, so it names the first rung the solve tries.
   int entry_rung = 0;
   /// Solve attempts run (0 when never scheduled).
   int attempts = 0;
@@ -168,7 +173,8 @@ struct SolveOutcome {
   int breaker_skips = 0;
   /// The answering backend (meaningful when `status.ok()`).
   harness::SolveBackend backend = harness::SolveBackend::kGreedy;
-  /// True when queue pressure or a brownout fault degraded the entry rung.
+  /// True when queue pressure (entry at the last rung) or a brownout fault
+  /// (entry at rung 1) set the entry rung.
   bool shed_degraded = false;
   /// Workload requests only: the request's kind (empty for MQO).
   std::optional<workloads::WorkloadKind> workload_kind;

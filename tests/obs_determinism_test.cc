@@ -105,9 +105,9 @@ TEST_F(ObsDeterminismTest, SnapshotsAndTracesAreIdenticalAcrossThreads) {
 
     SolveService service(options);
     int submitted = 0;
-    // Waves of uneven size push queue fill through every shed threshold,
-    // so the run also holds device slots whose reads and read-out fan out
-    // over the service's workers.
+    // Waves of uneven size push queue fill past the shed threshold and
+    // back under it, so the run also holds device slots whose reads and
+    // read-out fan out over the service's workers.
     for (int wave_size : {8, 2, 0, 1, 8, 2, 0, 1, 8, 2, 0, 1}) {
       for (int i = 0; i < wave_size; ++i) {
         RequestPriority priority = (submitted % 3 == 0)

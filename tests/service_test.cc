@@ -21,6 +21,7 @@
 #include "mqo/serialization.h"
 #include "mqo/solution.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/fault.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -49,6 +50,14 @@ int64_t Count(SolveService& service, const std::string& name) {
   }
   ADD_FAILURE() << "no counter " << full;
   return -1;
+}
+
+// The value of tag `key` on `span`, or "" when the span has none.
+std::string TagOf(const obs::Span& span, const std::string& key) {
+  for (const auto& [name, value] : span.tags) {
+    if (name == key) return value;
+  }
+  return "";
 }
 
 int64_t Answered(SolveService& service, SolveBackend backend) {
@@ -256,20 +265,22 @@ TEST_F(SolveServiceTest, QueueStallExpiresDeadlinedRequestsWithoutSolving) {
 
 TEST_F(SolveServiceTest, QueuePressureShedsTheEntryRung) {
   ServiceOptions options = SmallServiceOptions();
-  options.queue_capacity = 8;  // 4 queued = fill 0.5 = shed_device_fill
+  options.queue_capacity = 8;  // 4 queued = fill 0.5 = shed_fill
   options.round_width = 4;
   SolveService service(options);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
   }
   ASSERT_EQ(service.ProcessRound(), 4);
-  // All four were claimed by an overfilled round: device rung shed, SQA
-  // answers, requests still complete.
+  // All four were claimed by an overfilled round: they enter at the last
+  // rung, greedy answers at its first attempt, requests still complete.
   EXPECT_EQ(Count(service, "shed_degraded_total"), 4);
-  EXPECT_EQ(Answered(service, SolveBackend::kSqa), 4);
+  EXPECT_EQ(Answered(service, SolveBackend::kGreedy), 4);
   for (const SolveOutcome& outcome : service.outcomes()) {
     EXPECT_TRUE(outcome.status.ok()) << outcome.detail;
-    EXPECT_EQ(outcome.entry_rung, 1);
+    EXPECT_EQ(outcome.entry_rung, 3);
+    EXPECT_EQ(outcome.backend, SolveBackend::kGreedy);
+    EXPECT_EQ(outcome.attempts, 1);
     EXPECT_TRUE(outcome.shed_degraded);
   }
   // Pressure gone: the next request gets the full ladder again.
@@ -277,6 +288,68 @@ TEST_F(SolveServiceTest, QueuePressureShedsTheEntryRung) {
   ASSERT_EQ(service.ProcessRound(), 1);
   EXPECT_EQ(Answered(service, SolveBackend::kDevice), 1);
   EXPECT_EQ(service.outcomes()[4].entry_rung, 0);
+}
+
+// Pressure shedding targets the ladder's last rung, whatever the ladder:
+// on {device, SA, greedy} an overfilled round enters at rung 2 and the
+// request samples nothing — no anneal, no sampler attempt.
+TEST_F(SolveServiceTest, PressureShedEntersTheLastRungOfAnyLadder) {
+  obs::Tracer tracer;
+  ServiceOptions options = SmallServiceOptions();
+  options.policy.ladder = {SolveBackend::kDevice, SolveBackend::kSa,
+                           SolveBackend::kGreedy};
+  options.queue_capacity = 2;  // 1 queued = fill 0.5 = shed_fill
+  options.tracer = &tracer;
+  SolveService service(options);
+  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+  ASSERT_EQ(service.ProcessRound(), 1);
+  ASSERT_EQ(service.outcomes().size(), 1u);
+  const SolveOutcome& outcome = service.outcomes()[0];
+  ASSERT_TRUE(outcome.status.ok()) << outcome.detail;
+  EXPECT_EQ(outcome.entry_rung, 2);
+  EXPECT_EQ(outcome.backend, SolveBackend::kGreedy);
+  EXPECT_EQ(outcome.attempts, 1);
+  EXPECT_TRUE(outcome.shed_degraded);
+
+  ASSERT_EQ(tracer.traces().size(), 1u);
+  int attempts = 0;
+  for (const obs::Span& span : tracer.traces()[0].spans()) {
+    EXPECT_NE(span.name, "pipeline.anneal");
+    if (span.name == "service.request") {
+      EXPECT_EQ(TagOf(span, "entry_rung"), "2");
+    }
+    if (span.name == "solve.attempt") {
+      ++attempts;
+      EXPECT_EQ(TagOf(span, "backend"), "greedy");
+      EXPECT_EQ(TagOf(span, "rung"), "2");
+    }
+  }
+  EXPECT_EQ(attempts, 1);
+}
+
+// A brownout routes past the device at rung 1, but a one-rung ladder has no
+// rung 1: the outcome and the trace report the rung that ran, rung 0.
+TEST_F(SolveServiceTest, BrownoutOnAOneRungLadderReportsTheRungThatRan) {
+  util::FaultInjector faults(ChaosSeed());
+  util::FaultSpec brownout;
+  brownout.fail_first = INT64_MAX;  // every request browns out
+  faults.Arm("service.brownout", brownout);
+
+  obs::Tracer tracer;
+  ServiceOptions options = SmallServiceOptions();
+  options.policy.ladder = {SolveBackend::kGreedy};
+  options.faults = &faults;
+  options.tracer = &tracer;
+  SolveService service(options);
+  ASSERT_TRUE(service.Submit(instance_.problem, instance_.embedding).ok());
+  ASSERT_EQ(service.DrainAll(), 1);
+  const SolveOutcome& outcome = service.outcomes()[0];
+  ASSERT_TRUE(outcome.status.ok()) << outcome.detail;
+  EXPECT_TRUE(outcome.shed_degraded);
+  EXPECT_EQ(outcome.entry_rung, 0);
+  EXPECT_EQ(outcome.backend, SolveBackend::kGreedy);
+  ASSERT_EQ(tracer.traces().size(), 1u);
+  EXPECT_EQ(TagOf(tracer.traces()[0].spans()[0], "entry_rung"), "0");
 }
 
 TEST_F(SolveServiceTest, BreakerOpensOnDeviceFailuresThenRecovers) {
@@ -445,8 +518,8 @@ TEST_F(SolveServiceTest, ConcurrentSolvesKeepTheirOwnFaultAccounting) {
 // worker threads. Every slot's reads and read-out fan out over the
 // service's workers, so the template's own device thread count is
 // overwritten and must not move a result either. Waves of uneven size push
-// queue fill through every shed threshold, so the run holds greedy-shed,
-// SA-shed, brownout (SQA) and device slots next to crashed ones.
+// queue fill past the shed threshold and back under it, so the run holds
+// greedy-shed, brownout (SQA) and device slots next to crashed ones.
 TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
   struct RunResult {
     std::string metrics;
@@ -487,7 +560,10 @@ TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
 
     SolveService service(options);
     int submitted = 0;
-    for (int wave_size : {8, 2, 0, 1, 8, 2, 0, 1, 8, 2, 0, 1}) {
+    // A light tail keeps fill under the threshold, so brownouts there
+    // enter at SQA rather than at the last resort.
+    for (int wave_size : {8, 2, 0, 1, 8, 2, 0, 1, 8, 2, 0, 1, 2, 2, 2, 2, 2,
+                          2}) {
       for (int i = 0; i < wave_size; ++i) {
         RequestPriority priority = (submitted % 3 == 0)
                                        ? RequestPriority::kInteractive
@@ -537,11 +613,17 @@ TEST_F(SolveServiceTest, ChaosRunIsIdenticalAcrossWorkerThreads) {
   RunResult serial = run_with_threads(1, 1);
   EXPECT_GT(serial.accepted, 0);
   EXPECT_GT(serial.expired_in_queue, 0);
-  // Solved slots entered at every rung: device, SQA, SA, and greedy; and
-  // the device answered some, so a device read fan-out ran.
-  for (size_t rung = 0; rung < serial.entry_rungs.size(); ++rung) {
-    EXPECT_GT(serial.entry_rungs[rung], 0) << "entry rung " << rung;
-  }
+  // Solved slots entered at the device, at SQA (brownout) and at greedy
+  // (queue pressure); none entered at SA, which is reached only by falling
+  // through. The device answered some, so a device read fan-out ran.
+  const std::string rungs =
+      StrFormat("entry rungs %d/%d/%d/%d", serial.entry_rungs[0],
+                serial.entry_rungs[1], serial.entry_rungs[2],
+                serial.entry_rungs[3]);
+  EXPECT_GT(serial.entry_rungs[0], 0) << rungs;
+  EXPECT_GT(serial.entry_rungs[1], 0) << rungs;
+  EXPECT_EQ(serial.entry_rungs[2], 0) << rungs;
+  EXPECT_GT(serial.entry_rungs[3], 0) << rungs;
   EXPECT_GT(serial.device_answers, 0);
   for (int device_threads : {1, 4}) {
     for (int threads : {1, 2, 4}) {
