@@ -75,7 +75,6 @@ KindResult RunKind(const workloads::Workload& workload, int threads,
   for (int rep = 0; rep < repetitions; ++rep) {
     harness::QuantumMqoOptions options;
     options.device.num_threads = threads;
-    options.device.sweep_kernel = bench::BenchKernel();
     Stopwatch solve_watch;
     harness::SolveReport report = solver.SolveQubo(workload.qubo(), options);
     result.solve_ms += solve_watch.ElapsedMillis();

@@ -29,9 +29,6 @@ Exits nonzero when
     (all_identical_to_serial / identical_to_serial false),
   * the fresh artifact reports worker threads spawned during timed runs
     (the pool-reuse gate), or
-  * the fresh artifact's serial checkerboard-kernel SA row falls below the
-    serial scalar-kernel row's throughput (the checkerboard sweep layout
-    must never lose to the per-spin loop it replaces), or
   * the fresh artifact's packed_memory_reduction (bytes per retained
     sample of the byte-vector representation over the packed arena, on the
     2048-spin instance) falls below --min-memory-reduction (default: 4),
@@ -217,23 +214,6 @@ def main():
             failures.append(f"fresh artifact reports {flag}=false: the "
                             "embedding pipeline produced a non-identical "
                             "physical problem")
-
-    # Kernel ordering gate: the checkerboard sweep must at least match the
-    # scalar loop's serial throughput (same machine, same artifact, so no
-    # cross-machine noise allowance is needed beyond the measurement
-    # itself).
-    scalar_row = fresh_rows.get(("sa", 1))
-    checkerboard_row = fresh_rows.get(("sa_checkerboard", 1))
-    if scalar_row is not None and checkerboard_row is not None:
-        scalar_value = scalar_row.get(args.metric)
-        checkerboard_value = checkerboard_row.get(args.metric)
-        if (isinstance(scalar_value, (int, float)) and
-                isinstance(checkerboard_value, (int, float)) and
-                checkerboard_value < scalar_value):
-            failures.append(
-                f"kCheckerboard serial {args.metric} "
-                f"({checkerboard_value:.3e}) fell below kScalar "
-                f"({scalar_value:.3e})")
 
     print(f"{'engine':<12}{'threads':>8}{'baseline':>14}{'fresh':>14}"
           f"{'delta':>9}")

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "anneal/gauge.h"
 #include "anneal/parallel.h"
@@ -66,17 +65,14 @@ struct ProgrammedGauge {
   /// Gauged, scaled, perturbed couplings laid over the converted problem's
   /// CSR rows. A coupling that programs to exactly 0 is dropped, as a
   /// rebuilt problem would drop it: then `row_offsets`/`neighbor_ids` hold
-  /// this gauge's own rows without it (both empty otherwise), so kernels
-  /// and colorings see exactly the programmed adjacency.
+  /// this gauge's own rows without it (both empty otherwise), so the
+  /// sweeps see exactly the programmed adjacency.
   std::vector<double> weights;
   std::vector<int32_t> row_offsets;
   std::vector<qubo::VarId> neighbor_ids;
-  /// The programmed problem as the kernels read it.
+  /// The programmed problem as the sweeps read it.
   qubo::IsingView view{qubo::CsrView(), nullptr};
   Schedule beta{0.0, 0.0, ScheduleShape::kGeometric};
-  /// Checkerboard kernel only: the per-programming coloring (SQA uses
-  /// just its coloring).
-  std::optional<SweepPlan> plan;
   /// Read r of this gauge anneals with `reads_rng.Fork(r)`.
   Rng reads_rng{0};
   int read_base = 0;
@@ -288,9 +284,6 @@ Result<DeviceResult> DWaveSimulator::Sample(
     } else {
       gauge.reads_rng = Rng(gauge_rng.Next());
     }
-    if (options_.sweep_kernel != SweepKernel::kScalar) {
-      gauge.plan.emplace(gauge.view);
-    }
     read_base += reads;
     timing.wall_ms = program_wall.ElapsedMillis();
     result.gauge_timings.push_back(timing);
@@ -309,9 +302,7 @@ Result<DeviceResult> DWaveSimulator::Sample(
   // front, so no append races them; dropped reads leave zero slots that
   // the serial compaction below removes). SQA reads land in per-read
   // slots of their own, expanded per gauge after the fan-out.
-  SqaOptions sqa_options = options_.sqa;
-  sqa_options.sweep_kernel = options_.sweep_kernel;
-  const SimulatedQuantumAnnealer sqa(sqa_options);
+  const SimulatedQuantumAnnealer sqa(options_.sqa);
   PackedAssignments annealed(num_spins);
   std::vector<double> sqa_energy;
   if (!sa_backend) {
@@ -320,39 +311,66 @@ Result<DeviceResult> DWaveSimulator::Sample(
   } else if (options_.record_reads) {
     result.raw_reads.Resize(total_reads);
   }
+  // SA reads run in groups of up to SweepGroupWidth() reads of one gauge
+  // (the sweep's lanes); SQA reads one at a time.
+  std::vector<int> gauge_reads;
+  for (const ProgrammedGauge& gauge : gauges) gauge_reads.push_back(gauge.reads);
+  const std::vector<ReadGroup> groups = SplitReadGroups(
+      gauge_reads, sa_backend ? SweepGroupWidth() : 1);
   Stopwatch fan_out_wall;
   SampleSet sa_samples = RunReads(
-      total_reads, options_.num_threads,
-      [&](int read, SampleSet* local) {
-        if (sa_backend && !drop_mask.empty() &&
-            drop_mask[static_cast<size_t>(read)]) {
-          return;  // read lost at the (simulated) readout stage
-        }
-        const ProgrammedGauge& gauge = gauge_of(read);
-        Rng read_rng =
-            gauge.reads_rng.Fork(static_cast<uint64_t>(read - gauge.read_base));
-        std::vector<int8_t> spins(static_cast<size_t>(num_spins));
+      static_cast<int>(groups.size()), options_.num_threads,
+      [&](int unit, SampleSet* local) {
+        const ReadGroup group = groups[static_cast<size_t>(unit)];
+        const ProgrammedGauge& gauge = gauge_of(group.first);
+        auto read_rng = [&](int read) {
+          return gauge.reads_rng.Fork(
+              static_cast<uint64_t>(read - gauge.read_base));
+        };
         if (!sa_backend) {
-          sqa_energy[static_cast<size_t>(read)] = sqa.AnnealRead(
-              gauge.view, gauge.plan ? &gauge.plan->coloring() : nullptr,
-              &read_rng, &spins);
-          annealed.StoreSpins(read, spins);
+          Rng rng = read_rng(group.first);
+          std::vector<int8_t> spins(static_cast<size_t>(num_spins));
+          sqa_energy[static_cast<size_t>(group.first)] =
+              sqa.AnnealRead(gauge.view, &rng, &spins);
+          annealed.StoreSpins(group.first, spins);
           return;
         }
-        InitSpins(options_.sweep_kernel, &read_rng, &spins);
-        RunSweeps(gauge.view, gauge.plan ? &*gauge.plan : nullptr, gauge.beta,
-                  options_.sa_sweeps, options_.sweep_kernel, &read_rng,
-                  &spins);
-        std::vector<int8_t> restored = gauge.gauge.RestoreSpins(spins);
-        if (faults != nullptr) {
-          ApplyReadFaults(faults, stuck, any_stuck,
-                          corrupt_mask[static_cast<size_t>(read)] != 0,
-                          ReadFaultKey(epoch, read), &restored);
+        // The group's reads that survive readout; a dropped read is never
+        // annealed.
+        std::vector<int> reads;
+        std::vector<Rng> rngs;
+        rngs.reserve(static_cast<size_t>(group.count));
+        for (int read = group.first; read < group.first + group.count;
+             ++read) {
+          if (!drop_mask.empty() && drop_mask[static_cast<size_t>(read)]) {
+            continue;  // read lost at the (simulated) readout stage
+          }
+          reads.push_back(read);
+          rngs.push_back(read_rng(read));
         }
-        // True energy on the customer's problem, not the noisy one.
-        double energy = physical.EnergySpins(restored);
-        if (options_.record_reads) result.raw_reads.StoreSpins(read, restored);
-        local->AddSpins(restored, energy);
+        std::vector<std::vector<int8_t>> spins(
+            reads.size(), std::vector<int8_t>(static_cast<size_t>(num_spins)));
+        for (size_t k = 0; k < reads.size(); ++k) {
+          RandomSpins(&rngs[k], &spins[k]);
+        }
+        RunSweepGroup(gauge.view, gauge.beta, options_.sa_sweeps,
+                      static_cast<int>(reads.size()), rngs.data(),
+                      spins.data());
+        for (size_t k = 0; k < reads.size(); ++k) {
+          const int read = reads[k];
+          std::vector<int8_t> restored = gauge.gauge.RestoreSpins(spins[k]);
+          if (faults != nullptr) {
+            ApplyReadFaults(faults, stuck, any_stuck,
+                            corrupt_mask[static_cast<size_t>(read)] != 0,
+                            ReadFaultKey(epoch, read), &restored);
+          }
+          // True energy on the customer's problem, not the noisy one.
+          double energy = physical.EnergySpins(restored);
+          if (options_.record_reads) {
+            result.raw_reads.StoreSpins(read, restored);
+          }
+          local->AddSpins(restored, energy);
+        }
       },
       options_.executor, options_.max_samples);
   if (sa_backend) {

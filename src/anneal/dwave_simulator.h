@@ -27,9 +27,12 @@
 /// control error), keeping each programmed gauge as flat arrays laid over
 /// the converted problem's CSR structure. Then every read of every gauge
 /// runs in one self-scheduled fan-out (anneal/parallel.h), with no barrier
-/// between gauges. Read r of gauge g still forks the gauge's stream at its
-/// local index, so results are those of programming and annealing the
-/// gauges one after the other, bit for bit, at any thread count.
+/// between gauges; on the SA backend of an AVX2 CPU a worker claims up to
+/// four reads of one gauge at a time and sweeps them in lockstep
+/// (anneal/sweep_kernel.h).
+/// Read r of gauge g still forks the gauge's stream at its local index, so
+/// results are those of programming and annealing the gauges one after the
+/// other, bit for bit, at any thread count.
 
 #include <cstdint>
 #include <vector>
@@ -85,19 +88,17 @@ struct DWaveOptions {
   uint64_t seed = 7;
   /// Worker threads for the call's one read fan-out over all gauges:
   /// 1 = serial (default, keeps `wall_clock_ms` comparable across
-  /// machines), 0 = hardware concurrency. Results are bit-identical for
-  /// every thread count (see anneal/parallel.h).
+  /// machines), 0 = hardware concurrency. A worker claims a group of at
+  /// most four reads of one gauge at a time (the SA sweep's lanes on an
+  /// AVX2 CPU; one read otherwise and on the SQA backend), so a call of R
+  /// reads keeps at most about R/4 workers busy. Results are bit-identical for every thread count
+  /// (see anneal/parallel.h).
   int num_threads = 1;
   /// Worker pool the read fan-out runs on (both backends); null = the
   /// process-wide `util::Executor::Shared()` pool. Either way the pool is
   /// created once and reused — a device call spawns zero threads. Never
   /// owned.
   util::Executor* executor = nullptr;
-  /// Metropolis sweep kernel for both backends (see anneal/sweep_kernel.h):
-  /// `kScalar` (default) keeps the frozen bit-exact streams; the
-  /// checkerboard kernel trades them for throughput. Gauge transforms,
-  /// control-error noise, and read forking are kernel-independent.
-  SweepKernel sweep_kernel = SweepKernel::kScalar;
   /// Streaming top-k retention for `DeviceResult::samples` (0 = unlimited),
   /// applied per gauge and to the final union; `raw_reads` is unaffected.
   /// See SaOptions::max_samples.

@@ -50,5 +50,19 @@ SampleSet RunReads(int num_reads, int num_threads,
   return out;
 }
 
+std::vector<ReadGroup> SplitReadGroups(const std::vector<int>& segment_reads,
+                                       int width) {
+  std::vector<ReadGroup> groups;
+  int first = 0;
+  for (const int reads : segment_reads) {
+    const int end = first + reads;
+    for (; end - first >= width; first += width) {
+      groups.push_back({first, width});
+    }
+    for (; first < end; ++first) groups.push_back({first, 1});
+  }
+  return groups;
+}
+
 }  // namespace anneal
 }  // namespace qmqo

@@ -7,11 +7,12 @@
 /// Every sampler in this library runs `num_reads` *independent* anneals:
 /// read r forks its own RNG stream (`rng.Fork(r)`), so reads can execute in
 /// any order — and therefore on any thread — without changing a single
-/// random draw. `RunReads` fans the reads across a reusable
-/// `util::Executor` worker pool (caller-supplied, or the lazily-created
-/// process-wide `util::Executor::Shared()` pool) instead of spawning
-/// threads per call. Reads are self-scheduled: each worker claims the next
-/// unclaimed read from an atomic cursor, one at a time, so a slow read or a
+/// random draw. `RunReads` fans the reads — or groups of reads of one
+/// problem, which the SA sweep runs in lockstep (`SplitReadGroups`) —
+/// across a reusable `util::Executor` worker pool (caller-supplied, or the
+/// lazily-created process-wide `util::Executor::Shared()` pool) instead of
+/// spawning threads per call. Units are self-scheduled: each worker claims
+/// the next unclaimed one from an atomic cursor, so a slow read or a
 /// late-starting worker never leaves the others idle behind a static chunk
 /// boundary. Each worker accumulates into its own `SampleSet`, and the
 /// locals are concatenated and finalized once at the end. Because
@@ -26,6 +27,7 @@
 /// under concurrent const access would be a data race.
 
 #include <functional>
+#include <vector>
 
 #include "anneal/sample_set.h"
 #include "util/executor.h"
@@ -53,6 +55,24 @@ using util::ResolveNumThreads;
 SampleSet RunReads(int num_reads, int num_threads,
                    const std::function<void(int, SampleSet*)>& run_read,
                    util::Executor* executor = nullptr, int max_samples = 0);
+
+/// A claim unit of the read fan-out: `count` consecutive reads from
+/// `first`, all of one programmed problem.
+struct ReadGroup {
+  int first = 0;
+  int count = 0;
+};
+
+/// Splits consecutive segments of reads (`segment_reads[k]` reads of
+/// problem k, e.g. one gauge each) into claim units: groups of `width`
+/// reads, and each segment's tail of fewer than `width` reads as single
+/// reads, so the tail spreads across workers. A sampler passes the groups
+/// to `RunReads` as its units (`num_reads = groups.size()`) and runs each
+/// group with `RunSweepGroup` (sweep_kernel.h) at
+/// `width = SweepGroupWidth()`. Which reads share a group cannot
+/// change a result: every read keeps its own stream.
+std::vector<ReadGroup> SplitReadGroups(const std::vector<int>& segment_reads,
+                                       int width);
 
 }  // namespace anneal
 }  // namespace qmqo

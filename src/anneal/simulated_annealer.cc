@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <optional>
 
 #include "anneal/parallel.h"
 
@@ -27,23 +26,29 @@ SampleSet SimulatedAnnealer::SampleIsing(const qubo::IsingProblem& ising) const 
   Schedule beta = ResolveBeta(view, options_.beta);
   Rng rng(options_.seed);
   const size_t n = static_cast<size_t>(ising.num_spins());
-  // The color classes are a per-problem precomputation shared (read-only)
-  // by every read; the scalar kernel never needs them.
-  std::optional<SweepPlan> plan;
-  if (options_.sweep_kernel != SweepKernel::kScalar) plan.emplace(view);
-  const SweepPlan* plan_ptr = plan ? &*plan : nullptr;
+  // Reads run in groups of SweepGroupWidth(), each read on its own forked
+  // stream, so the grouping changes no draw.
+  const std::vector<ReadGroup> groups =
+      SplitReadGroups({options_.num_reads}, SweepGroupWidth());
   return RunReads(
-      options_.num_reads, options_.num_threads,
-      [&, beta](int read, SampleSet* local) {
-        Rng read_rng = rng.Fork(static_cast<uint64_t>(read));
-        std::vector<int8_t> spins(n);
-        InitSpins(options_.sweep_kernel, &read_rng, &spins);
-        RunSweeps(view, plan_ptr, beta, options_.sweeps_per_read,
-                  options_.sweep_kernel, &read_rng, &spins, options_.executor,
-                  options_.sweep_threads);
+      static_cast<int>(groups.size()), options_.num_threads,
+      [&, beta](int unit, SampleSet* local) {
+        const ReadGroup group = groups[static_cast<size_t>(unit)];
+        std::vector<Rng> rngs;
+        rngs.reserve(static_cast<size_t>(group.count));
+        std::vector<std::vector<int8_t>> spins(
+            static_cast<size_t>(group.count), std::vector<int8_t>(n));
+        for (int k = 0; k < group.count; ++k) {
+          rngs.push_back(rng.Fork(static_cast<uint64_t>(group.first + k)));
+          RandomSpins(&rngs.back(), &spins[static_cast<size_t>(k)]);
+        }
+        RunSweepGroup(view, beta, options_.sweeps_per_read, group.count,
+                      rngs.data(), spins.data());
         // Read-out appends the spins bit-packed into the chunk-local
         // arena: no per-read byte vector, no per-sample heap allocation.
-        local->AddSpins(spins, view.Energy(spins.data()));
+        for (const std::vector<int8_t>& read : spins) {
+          local->AddSpins(read, view.Energy(read.data()));
+        }
       },
       options_.executor, options_.max_samples);
 }

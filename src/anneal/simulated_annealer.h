@@ -38,22 +38,13 @@ struct SaOptions {
   uint64_t seed = 1;
   /// Worker threads for the read loop: 1 = serial (default, keeps
   /// wall-clock measurements comparable across machines), 0 = hardware
-  /// concurrency. Results are bit-identical for every thread count (see
-  /// anneal/parallel.h).
+  /// concurrency. On an AVX2 CPU a worker claims up to four reads at a
+  /// time and sweeps them in lockstep (anneal/sweep_kernel.h). Results are
+  /// bit-identical for every thread count (see anneal/parallel.h).
   int num_threads = 1;
   /// Worker pool to fan reads across when `num_threads != 1`; null = the
   /// process-wide `util::Executor::Shared()` pool. Never owned.
   util::Executor* executor = nullptr;
-  /// Metropolis sweep implementation (see anneal/sweep_kernel.h). The
-  /// default `kScalar` is the bit-exact reference; `kCheckerboard` trades
-  /// the frozen random stream for throughput and keeps the exact
-  /// Metropolis test.
-  SweepKernel sweep_kernel = SweepKernel::kScalar;
-  /// Concurrent chunks for the checkerboard kernel's per-class decide loop
-  /// *within* one read (single-read latency): 1 = inline (default), 0 =
-  /// hardware concurrency. Results are bit-identical at any value; ignored
-  /// by `kScalar`. Runs on the same `executor` as the read fan-out.
-  int sweep_threads = 1;
   /// Streaming top-k retention: keep only the best `max_samples` distinct
   /// assignments (0 = unlimited). Top-k membership, energies, and
   /// occurrence counts are exact and thread-count independent;

@@ -55,11 +55,6 @@ struct SqaOptions {
   /// Worker pool to fan reads across when `num_threads != 1`; null = the
   /// process-wide `util::Executor::Shared()` pool. Never owned.
   util::Executor* executor = nullptr;
-  /// Sweep kernel for the single-site slice sweeps and global moves (see
-  /// anneal/sweep_kernel.h): `kScalar` is the frozen bit-exact reference;
-  /// `kCheckerboard` sweeps each slice in color order with batched
-  /// per-class uniforms and the same exact Metropolis test.
-  SweepKernel sweep_kernel = SweepKernel::kScalar;
   /// Streaming top-k retention for the returned SampleSet (0 = unlimited);
   /// see SaOptions::max_samples.
   int max_samples = 0;
@@ -79,13 +74,13 @@ class SimulatedQuantumAnnealer {
 
   /// One read: anneals a fresh replica stack drawn from `rng` (the read's
   /// own forked stream), writes the best slice's spins to `spins` and
-  /// returns its exact energy on `ising`. `coloring` is the problem's
-  /// `qubo::ColorGraph` for the checkerboard kernel, ignored (may be null)
-  /// for `kScalar`. `SampleIsing` runs this per read, and so does the
-  /// device model's SQA backend inside its single read fan-out; the
-  /// options' read count, seed, threads and cap are not used here.
-  double AnnealRead(const qubo::IsingView& ising, const qubo::Coloring* coloring,
-                    Rng* rng, std::vector<int8_t>* spins) const;
+  /// returns its exact energy on `ising`. `SampleIsing` runs this per
+  /// read, and so does the device model's SQA backend inside its single
+  /// read fan-out; the options' read count, seed, threads and cap are not
+  /// used here. Uniforms are drawn from `rng` a block ahead, so `rng` is
+  /// left in an unspecified state: every caller discards it.
+  double AnnealRead(const qubo::IsingView& ising, Rng* rng,
+                    std::vector<int8_t>* spins) const;
 
   const SqaOptions& options() const { return options_; }
 

@@ -2,79 +2,64 @@
 #define QMQO_ANNEAL_SWEEP_KERNEL_H_
 
 /// \file sweep_kernel.h
-/// Selectable Metropolis sweep kernels for the annealing samplers.
+/// The Metropolis sweep of the SA samplers, and the exact Metropolis test
+/// every annealing sampler shares.
 ///
-/// A sweep proposes one flip per spin. The two kernels trade sweep order
-/// for throughput; both make the exact Metropolis decision:
-///
-///  * `kScalar` — the original per-spin loop, in ascending spin order with
-///    per-proposal RNG draws (`Rng::UniformReal`) and the exact Metropolis
-///    test. This is the **bit-exact reference**: its random stream and
-///    results are frozen across PRs and identical at any thread count. The
-///    stream is still the standard library's 64-bit Mersenne Twister, value
-///    for value, but comes from the in-house `Mt19937_64` and the exact
-///    branch-free `UnitUniform` (util/rng.h), which cut a uniform draw from
-///    ~13.5 to ~3 ns (x86-64, -O3).
-///  * `kCheckerboard` — a two-color ("checkerboard") sweep over the color
-///    classes of `qubo::ColorGraph` (Chimera is bipartite, arbitrary CSR
-///    graphs fall back to a greedy coloring). Within a class no spin's
-///    local field depends on another member, so uniforms are drawn into a
-///    per-class buffer up front and the decide loop runs with no loop-carried
-///    dependency — parallelizable across a `util::Executor`
-///    (`sweep_threads`) with bit-identical results at any thread count.
-///    Exact double-precision math (the exact Metropolis test); the random
-///    stream differs from `kScalar` (batched draws, color order), so
-///    trajectories differ while energy quality is statistically equivalent.
+/// `RunSweeps` is the per-spin loop: ascending spin order, one
+/// `Rng::UniformReal(0, 1)` draw per uphill proposal, the exact Metropolis
+/// test. It is the **bit-exact reference**: its random stream and results
+/// are frozen across PRs and identical at any thread count. The stream is
+/// the standard library's 64-bit Mersenne Twister, value for value, but
+/// comes from the in-house `Mt19937_64` and the exact branch-free
+/// `UnitUniform` (util/rng.h), which cut a uniform draw from ~13.5 to ~3 ns
+/// (x86-64, -O3). On a CPU with AVX2, `RunSweepGroup` runs four reads of
+/// one problem in lockstep, one per lane of a vector of doubles
+/// (`LaneSweeps`, sweep_lanes.cc); each lane is spin for spin the scalar
+/// loop's read, so the lanes are an implementation of the same sweep, not
+/// another kernel.
 ///
 /// The exact Metropolis test is `MetropolisAccept` (below): it decides
 /// exactly `u < std::exp(-β·Δ)`, bit for bit, but a cubic lower bound on
-/// `e^{β·Δ}` rejects most uphill proposals before `std::exp` is called. Every
-/// exact site uses it — both `kScalar` and `kCheckerboard` loops here and
-/// the local and global moves of both exact SQA steps (anneal/sqa.cc).
-///
-/// Initialization pairs with the kernels: `kScalar` keeps the legacy
-/// one-`Bernoulli`-per-spin `RandomSpins`, the checkerboard kernel uses
-/// `RandomSpinsBatched` (64 spins bit-unpacked per `Rng::Next` call), whose
-/// sequence is pinned by `tests/sweep_kernel_test.cc`.
+/// `e^{β·Δ}` rejects most uphill proposals, and a degree-7 lower bound on
+/// `e^{-β·Δ}` accepts most of the rest, before `std::exp` is called. Every
+/// exact site uses it: the scalar loop, the lanes, and the local and global
+/// moves of the SQA step (anneal/sqa.cc).
 
 #include <cmath>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "anneal/schedule.h"
-#include "qubo/csr.h"
 #include "qubo/ising.h"
 #include "util/rng.h"
 
 namespace qmqo {
-namespace util {
-class Executor;
-}  // namespace util
-
 namespace anneal {
 
-/// Which Metropolis sweep implementation a sampler runs.
-enum class SweepKernel {
-  kScalar,
-  kCheckerboard,
-};
-
-/// Canonical names: "scalar", "checkerboard".
-const char* SweepKernelName(SweepKernel kernel);
-
-/// Parses a canonical name (as accepted by QMQO_BENCH_KERNEL). Returns
-/// false (leaving `kernel` untouched) on anything else.
-bool ParseSweepKernel(const std::string& name, SweepKernel* kernel);
+/// A lower bound on `e^{-bd}` for `bd <= 2`, below even the rounded
+/// `std::exp(-bd)`: `L7(bd)·(1 - 1e-12)`, where `L7(x) = Σ_{k≤7} (-x)^k/k!`
+/// is evaluated by Horner's rule in `y = -bd`. See `MetropolisAccept`.
+inline double SureAcceptBound(double bd) {
+  const double y = -bd;
+  const double l7 =
+      1.0 +
+      y * (1.0 +
+           y * (1.0 / 2 +
+                y * (1.0 / 6 +
+                     y * (1.0 / 24 +
+                          y * (1.0 / 120 +
+                               y * (1.0 / 720 + y * (1.0 / 5040)))))));
+  return l7 * (1.0 - 1e-12);
+}
 
 /// The exact Metropolis test for an uphill proposal: returns exactly
 /// `u < std::exp(-bd)` for `bd = β·Δ >= 0`, but settles most proposals
 /// without calling `std::exp`.
 ///
-/// Screen: `P = 1 + bd + bd²/2 + bd³/6` is a partial sum of the series of
-/// `e^bd` with non-negative terms, so `P <= e^bd` and `exp(-bd) <= 1/P`.
-/// When `u·P >= 1 + 1e-12`, u exceeds `exp(-bd)` and the proposal is a sure
-/// reject; otherwise the original expression decides.
+/// Reject screen: `P = 1 + bd + bd²/2 + bd³/6` is a partial sum of the
+/// series of `e^bd` with non-negative terms, so `P <= e^bd` and
+/// `exp(-bd) <= 1/P`. When `u·P >= 1 + 1e-12`, u exceeds `exp(-bd)` and the
+/// proposal is a sure reject.
 ///
 /// Error analysis (double precision, ε = 2⁻⁵³): the Horner evaluation of
 /// `P` has only non-negative terms, so it is within a few ε of the exact
@@ -86,75 +71,70 @@ bool ParseSweepKernel(const std::string& name, SweepKernel* kernel);
 /// result of `std::exp` would be subnormal (bd > ~708), any nonzero u
 /// (>= 2⁻⁶⁴ from every stream here) is above it anyway. Edge cases: `P`
 /// overflowing to inf rejects any u > 0, where `exp(-bd)` is 0; u == 0
-/// and NaN never pass the screen and fall through to `std::exp`. Callers
-/// that wrote `std::exp(-b * delta)` pass `b * delta`: IEEE multiplication
-/// is symmetric in sign, so `(-b) * delta == -(b * delta)` bit for bit.
+/// and NaN never pass the screen and fall through to `std::exp`.
+///
+/// Accept screen (`bd <= 2`): the Lagrange remainder of `L7` at `-x` is
+/// `x⁸/8!·e^{-ξ} >= 0`, so `L7(x) <= e^{-x}` for every x. The Horner
+/// evaluation of `L7` at `y = -bd` (seven multiply-adds, coefficients
+/// rounded once each) errs by at most about 18ε·Σ|c_k|·bd^k <= 18ε·e² <
+/// 1.5e-14 in absolute terms, which is under 1.1e-13·e^{-bd} while
+/// `e^{-bd} >= e^{-2}`. The bound `SureAcceptBound(bd)` is therefore at
+/// most `e^{-bd}(1 + 1.1e-13)(1 - 1e-12)(1 + ε) < e^{-bd}(1 - 8e-13)`,
+/// below glibc's `std::exp(-bd) >= e^{-bd}(1 - 2⁻⁵²)`, so `u` under it is
+/// a sure accept. The 1e-12 margin is ~9 times wider than this worst case;
+/// a dense check over bd in [0, 3] (tests/sweep_kernel_test.cc) finds the
+/// computed bound at most `e^{-bd}(1 - 0.9998e-12)`. NaN fails `bd <= 2`
+/// and falls through. On the paper instance this settles 80% of the
+/// proposals the reject screen passes: 3.3% of uphill proposals still
+/// reach `std::exp`, against 16% with the reject screen alone.
+///
+/// Callers that wrote `std::exp(-b * delta)` pass `b * delta`: IEEE
+/// multiplication is symmetric in sign, so `(-b) * delta == -(b * delta)`
+/// bit for bit.
 inline bool MetropolisAccept(double u, double bd) {
   const double p = 1.0 + bd * (1.0 + bd * (0.5 + bd * (1.0 / 6.0)));
   if (u * p >= 1.0 + 1e-12) return false;
+  if (bd <= 2.0 && u < SureAcceptBound(bd)) return true;
   return u < std::exp(-bd);
 }
 
-/// Per-problem precomputation shared by every read of a sampler call: the
-/// color classes the checkerboard kernel sweeps, plus a **color-major
-/// permuted copy** of the problem — vertices renumbered so each class is
-/// contiguous (`coloring().class_members` is the permuted→original map).
-/// The class pass then walks spins and fields sequentially with no member
-/// indirection, which is where the checkerboard layout's cache behavior
-/// comes from. Cheap for `kScalar` callers to skip (pass null to
-/// `RunSweeps`).
-class SweepPlan {
- public:
-  explicit SweepPlan(const qubo::IsingView& ising);
-
-  const qubo::Coloring& coloring() const { return coloring_; }
-  int max_class_size() const { return coloring_.max_class_size(); }
-
-  /// CSR adjacency over permuted vertex ids (neighbor ids are permuted).
-  const std::vector<int32_t>& row_offsets() const { return row_offsets_; }
-  const std::vector<qubo::VarId>& neighbor_ids() const {
-    return neighbor_ids_;
-  }
-  const std::vector<double>& weights() const { return weights_; }
-  /// Ising fields h over permuted vertex ids.
-  const std::vector<double>& fields() const { return fields_; }
-
- private:
-  qubo::Coloring coloring_;
-  std::vector<int32_t> row_offsets_;
-  std::vector<qubo::VarId> neighbor_ids_;
-  std::vector<double> weights_;
-  std::vector<double> fields_;
-};
-
-/// Fills `spins` with uniform random ±1, one `Bernoulli` draw per spin —
-/// the legacy initialization of the bit-exact `kScalar` path.
+/// Fills `spins` with uniform random ±1, one `Bernoulli` draw per spin:
+/// the initialization of every SA and SQA read.
 void RandomSpins(Rng* rng, std::vector<int8_t>* spins);
 
-/// Fills `spins` with uniform random ±1, bit-unpacking 64 spins per
-/// `Rng::Next` call. Used by the checkerboard kernel (whose stream
-/// already differs from `kScalar`); the sequence for a given seed is part of
-/// the documented seed contract and pinned by a regression test.
-void RandomSpinsBatched(Rng* rng, std::vector<int8_t>* spins);
-
-/// Kernel-matched initialization: legacy `RandomSpins` for `kScalar`,
-/// `RandomSpinsBatched` otherwise.
-void InitSpins(SweepKernel kernel, Rng* rng, std::vector<int8_t>* spins);
-
-/// Runs `sweeps` Metropolis sweeps over `spins` in place with the selected
-/// kernel — the one kernel entry point of both SA callers: the sampler
+/// Runs `sweeps` Metropolis sweeps over `spins` in place, for one read.
+/// Both SA callers reach it through `RunSweepGroup` (below): the sampler
 /// passes a view of its `IsingProblem`, the device model a view of a
-/// programmed gauge's flat arrays. `plan` may be null for `kScalar` and must outlive the call
-/// otherwise (build it once per problem, share across reads). The
-/// checkerboard kernel fans its per-class decide loop across
-/// `sweep_threads` concurrent chunks of `executor` (null = the process-wide
-/// shared pool; <= 1 = inline) with bit-identical results at any thread
-/// count, because the class's uniforms are drawn serially up front and each
-/// chunk writes per-index accept slots.
-void RunSweeps(const qubo::IsingView& ising, const SweepPlan* plan,
-               const Schedule& beta, int sweeps, SweepKernel kernel, Rng* rng,
-               std::vector<int8_t>* spins, util::Executor* executor = nullptr,
-               int sweep_threads = 1);
+/// programmed gauge's flat arrays. It draws exactly one
+/// `rng->UniformReal(0, 1)` per uphill proposal and nothing else.
+void RunSweeps(const qubo::IsingView& ising, const Schedule& beta, int sweeps,
+               Rng* rng, std::vector<int8_t>* spins);
+
+/// Reads the lane kernel sweeps in lockstep: one per lane of an AVX2
+/// vector of doubles.
+constexpr int kSweepLanes = 4;
+
+/// Reads per claim unit on this CPU: `kSweepLanes` when it supports AVX2
+/// (`util::CpuHasAvx2()`), else 1.
+int SweepGroupWidth();
+
+/// Runs `RunSweeps` for `count` reads of one problem: read k anneals
+/// `spins[k]` with `rngs[k]`. A full group of `kSweepLanes` reads runs in
+/// the lane kernel on an AVX2 CPU; every spin of every read is still
+/// exactly what `RunSweeps` gives for that read alone. The lane kernel
+/// draws each read's uniforms into a buffer ahead of use, so afterwards
+/// `rngs[k]` sits past the draws the read used; callers discard it. Any
+/// other group runs read by read.
+void RunSweepGroup(const qubo::IsingView& ising, const Schedule& beta,
+                   int sweeps, int count, Rng* rngs,
+                   std::vector<int8_t>* spins);
+
+/// The lane kernel itself: `kSweepLanes` reads of `ising` in lockstep,
+/// each lane spin for spin the `RunSweeps` read of its stream (see
+/// `RunSweepGroup`). Precondition: `util::CpuHasAvx2()`. Callers go
+/// through `RunSweepGroup`; tests call it directly.
+void LaneSweeps(const qubo::IsingView& ising, const Schedule& beta,
+                int sweeps, Rng* rngs, std::vector<int8_t>* spins);
 
 }  // namespace anneal
 }  // namespace qmqo

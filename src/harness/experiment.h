@@ -44,11 +44,7 @@ struct ExperimentConfig {
   std::vector<int> ga_populations = {50, 200};
   /// Run the (slow) exact solver on the QUBO reformulation.
   bool run_lin_qub = true;
-  /// Quantum pipeline configuration. The device model's Metropolis sweep
-  /// kernel rides along here (`quantum.device.sweep_kernel`; see
-  /// anneal/sweep_kernel.h): `kScalar` keeps the class results bit-exact
-  /// across PRs, `kCheckerboard` trades that stream for throughput. The
-  /// bench drivers plumb QMQO_BENCH_KERNEL into it.
+  /// Quantum pipeline configuration.
   QuantumMqoOptions quantum;
   uint64_t seed = 42;
   /// Worker threads for the instance fan-out: 1 = serial (default),

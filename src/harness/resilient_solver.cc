@@ -162,7 +162,6 @@ AttemptOutcome RunAttempt(const SolvePolicy& policy,
                 .Next();
         sqa.num_threads = options.device.num_threads;
         sqa.executor = options.device.executor;
-        sqa.sweep_kernel = options.device.sweep_kernel;
         set = anneal::SimulatedQuantumAnnealer(sqa).Sample(*path.sampled);
       } else {
         anneal::SaOptions sa;
@@ -173,7 +172,6 @@ AttemptOutcome RunAttempt(const SolvePolicy& policy,
                 .Next();
         sa.num_threads = options.device.num_threads;
         sa.executor = options.device.executor;
-        sa.sweep_kernel = options.device.sweep_kernel;
         set = anneal::SimulatedAnnealer(sa).Sample(*path.sampled);
       }
       if (set.empty()) {

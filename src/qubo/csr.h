@@ -121,41 +121,6 @@ struct CsrView {
   const double* weights = nullptr;
 };
 
-/// A partition of a graph's vertices into independent sets ("color
-/// classes"): no edge connects two vertices of the same class. The sweep
-/// kernels update one class at a time — within a class, no spin's local
-/// field depends on another member, so the whole class can be decided
-/// concurrently (checkerboard sweep).
-struct Coloring {
-  int num_colors = 0;
-  /// True when the graph is bipartite and the coloring uses <= 2 colors
-  /// (Chimera always is: left/right shores alternate with cell parity).
-  bool is_bipartite = false;
-  /// color_of[v] in [0, num_colors); size num_vars.
-  std::vector<int> color_of;
-  /// class_offsets[c] .. class_offsets[c+1] delimit class c's members in
-  /// `class_members`; size num_colors + 1.
-  std::vector<int32_t> class_offsets;
-  /// Vertex ids grouped by color, ascending within each class.
-  std::vector<VarId> class_members;
-
-  int class_size(int c) const {
-    return class_offsets[static_cast<size_t>(c) + 1] -
-           class_offsets[static_cast<size_t>(c)];
-  }
-  const VarId* class_begin(int c) const {
-    return class_members.data() + class_offsets[static_cast<size_t>(c)];
-  }
-  int max_class_size() const;
-};
-
-/// Colors `graph` deterministically: BFS 2-coloring when the graph is
-/// bipartite (which recovers the Chimera checkerboard — side + cell-row +
-/// cell-column parity), else a greedy first-fit coloring over ascending
-/// vertex ids (at most max_degree + 1 colors). Isolated vertices get
-/// color 0; an edgeless graph yields one class.
-Coloring ColorGraph(const CsrView& graph);
-
 }  // namespace qubo
 }  // namespace qmqo
 

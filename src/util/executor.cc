@@ -20,8 +20,8 @@ int ResolveNumThreads(int requested) {
 /// One `ParallelFor` call: a statically chunked index range whose chunks
 /// are claimed via an atomic cursor. A batch sits in the executor's queue
 /// while unclaimed chunks remain; claiming is separate from completion so
-/// the submitter can tell "everything claimed" (stop helping) from
-/// "everything finished" (safe to return).
+/// the submitter can tell "everything claimed" (stop running own chunks)
+/// from "everything finished" (safe to return).
 struct Executor::Batch {
   int total = 0;
   int parts = 0;
@@ -30,33 +30,35 @@ struct Executor::Batch {
   const RangeBody* body = nullptr;
 
   std::atomic<int> next_chunk{0};
-  std::mutex mutex;
-  std::condition_variable done;
-  int remaining = 0;              // guarded by mutex
-  std::exception_ptr error;       // guarded by mutex; first error wins
+  std::atomic<int> remaining{0};  // chunks not yet finished
+  std::mutex error_mutex;
+  std::exception_ptr error;  // guarded by error_mutex; first error wins
 
-  /// Claims and runs one chunk; false when all chunks are claimed.
-  bool RunOneChunk() {
+  enum class Ran { kNothing, kChunk, kLastChunk };
+
+  /// Claims and runs one chunk: kNothing when all chunks are claimed,
+  /// kLastChunk when this chunk was the batch's last to finish.
+  Ran RunOneChunk() {
     int chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-    if (chunk >= parts) return false;
+    if (chunk >= parts) return Ran::kNothing;
     const int begin = chunk * base + std::min(chunk, remainder);
     const int end = begin + base + (chunk < remainder ? 1 : 0);
-    std::exception_ptr caught;
     try {
       (*body)(begin, end, chunk);
     } catch (...) {
-      caught = std::current_exception();
+      std::lock_guard<std::mutex> lock(error_mutex);
+      if (!error) error = std::current_exception();
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (caught && !error) error = caught;
-      if (--remaining == 0) done.notify_all();
-    }
-    return true;
+    return remaining.fetch_sub(1, std::memory_order_acq_rel) == 1
+               ? Ran::kLastChunk
+               : Ran::kChunk;
   }
 
   bool AllClaimed() const {
     return next_chunk.load(std::memory_order_relaxed) >= parts;
+  }
+  bool Finished() const {
+    return remaining.load(std::memory_order_acquire) == 0;
   }
 };
 
@@ -83,7 +85,10 @@ int64_t Executor::TotalWorkersSpawned() {
 }
 
 Executor& Executor::Shared() {
-  static Executor shared(0);
+  // The thread that calls ParallelFor runs chunks too, so one worker fewer
+  // than the hardware concurrency keeps every core busy without putting
+  // more runnable threads than cores on the machine.
+  static Executor shared(std::max(1, ResolveNumThreads(0) - 1));
   return shared;
 }
 
@@ -98,22 +103,37 @@ void Executor::Run(Executor* executor, int total, int parallelism,
       .ParallelFor(total, parallelism, body);
 }
 
+std::shared_ptr<Executor::Batch> Executor::NextClaimable() {
+  while (!queue_.empty() && queue_.front()->AllClaimed()) {
+    // Fully claimed batches are done or finishing on other threads.
+    queue_.pop_front();
+  }
+  return queue_.empty() ? nullptr : queue_.front();
+}
+
+bool Executor::RunChunk(Batch* batch) {
+  const Batch::Ran ran = batch->RunOneChunk();
+  if (ran == Batch::Ran::kLastChunk) {
+    // The submitter waits on `wake_` under `mutex_`: taking the mutex
+    // between its predicate check and this notify rules out a lost wake-up.
+    { std::lock_guard<std::mutex> lock(mutex_); }
+    wake_.notify_all();
+  }
+  return ran != Batch::Ran::kNothing;
+}
+
 void Executor::WorkerLoop() {
   for (;;) {
     std::shared_ptr<Batch> batch;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this]() { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing left to help
-      batch = queue_.front();
-      if (batch->AllClaimed()) {
-        // Fully claimed batches are done or finishing on other threads;
-        // retire the queue entry and look again.
-        queue_.pop_front();
-        continue;
-      }
+      wake_.wait(lock, [&]() {
+        batch = NextClaimable();
+        return stop_ || batch != nullptr;
+      });
+      if (batch == nullptr) return;  // stop_ set and nothing left to help
     }
-    batch->RunOneChunk();
+    RunChunk(batch.get());
   }
 }
 
@@ -130,7 +150,7 @@ void Executor::ParallelFor(int total, int parallelism, const RangeBody& body) {
   batch->base = total / parts;
   batch->remainder = total % parts;
   batch->body = &body;
-  batch->remaining = parts;
+  batch->remaining.store(parts, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(batch);
@@ -138,12 +158,27 @@ void Executor::ParallelFor(int total, int parallelism, const RangeBody& body) {
   wake_.notify_all();
   // Help drain our own chunks; this is what makes nested calls from worker
   // threads deadlock-free (see the header).
-  while (batch->RunOneChunk()) {
+  while (RunChunk(batch.get())) {
+  }
+  // Every chunk is claimed. Until the last one finishes, run other
+  // batches' unclaimed chunks rather than block: a nested call's submitter
+  // would otherwise idle on its stragglers while the pool has work queued.
+  for (;;) {
+    std::shared_ptr<Batch> other;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      wake_.wait(lock, [&]() {
+        if (batch->Finished()) return true;
+        other = NextClaimable();
+        return other != nullptr;
+      });
+      if (batch->Finished()) break;
+    }
+    RunChunk(other.get());
   }
   std::exception_ptr error;
   {
-    std::unique_lock<std::mutex> lock(batch->mutex);
-    batch->done.wait(lock, [&]() { return batch->remaining == 0; });
+    std::lock_guard<std::mutex> lock(batch->error_mutex);
     error = batch->error;
   }
   if (error) std::rethrow_exception(error);

@@ -26,6 +26,10 @@
 ///    thread;
 ///  * an executor with N workers serves a `ParallelFor` even when all N
 ///    workers are busy elsewhere.
+/// Once its own chunks are all claimed, a submitter waiting for the
+/// stragglers runs other batches' unclaimed chunks instead of sleeping, so
+/// nested fan-outs (a service round's requests, each fanning out its reads)
+/// keep every thread busy. It sleeps only when nothing is left to claim.
 /// Exceptions thrown by a chunk are captured and the first one is rethrown
 /// on the submitting thread after the batch drains.
 ///
@@ -89,7 +93,8 @@ class Executor {
   /// Per-index convenience over all workers: `body(i)` for i in [0, total).
   void ParallelFor(int total, const std::function<void(int)>& body);
 
-  /// The lazily-created process-wide pool (hardware-concurrency workers).
+  /// The lazily-created process-wide pool: hardware concurrency minus one
+  /// workers (at least one), since the submitting thread runs chunks too.
   /// Call sites that take an optional `Executor*` fall back to this, so
   /// the whole process shares one set of threads by default.
   static Executor& Shared();
@@ -104,6 +109,12 @@ class Executor {
   struct Batch;
 
   void WorkerLoop();
+  /// The queue's first batch with an unclaimed chunk, retiring fully
+  /// claimed ones on the way; null when there is none. Needs `mutex_`.
+  std::shared_ptr<Batch> NextClaimable();
+  /// Runs one chunk of `batch`; false when all its chunks were claimed.
+  /// Wakes waiting submitters when the chunk finished the batch.
+  bool RunChunk(Batch* batch);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;

@@ -31,8 +31,8 @@ uint64_t HashName(const char* name) {
   return hash;
 }
 
-/// Uniform double in [0, 1) from 64 raw bits (top 53 bits, like
-/// FastRng::NextUniform).
+/// Uniform double in [0, 1) from 64 raw bits (the top 53 bits, scaled by
+/// 2^-53).
 double ToUniform(uint64_t bits) {
   return static_cast<double>(bits >> 11) * 0x1.0p-53;
 }

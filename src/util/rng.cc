@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <numeric>
 
 namespace qmqo {
@@ -41,6 +42,18 @@ void Mt19937_64::Twist() {
   }
   state_[n - 1] = state_[kShift - 1] ^ TwistMix(state_[n - 1], state_[0]);
   index_ = 0;
+}
+
+void Mt19937_64::FillUnitUniform(double* out, size_t count) {
+  while (count > 0) {
+    if (index_ >= kStateWords) Twist();
+    const size_t take = std::min(count, kStateWords - index_);
+    const uint64_t* words = state_ + index_;
+    for (size_t k = 0; k < take; ++k) out[k] = UnitUniform(Temper(words[k]));
+    index_ += take;
+    out += take;
+    count -= take;
+  }
 }
 
 uint64_t Rng::Scramble(uint64_t x) {

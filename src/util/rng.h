@@ -36,15 +36,25 @@ class Mt19937_64 {
 
   result_type operator()() {
     if (index_ >= kStateWords) Twist();
-    uint64_t z = state_[index_++];
+    return Temper(state_[index_++]);
+  }
+
+  /// Writes the next `count` draws, each mapped by `UnitUniform` (below),
+  /// to `out`: exactly what `count` calls of `Rng::UniformReal(0, 1)`
+  /// would return, value for value, and the engine ends in the same state.
+  /// Tempering and conversion run over a whole block of state words at a
+  /// time, with no per-draw twist check.
+  void FillUnitUniform(double* out, size_t count);
+
+ private:
+  static constexpr size_t kStateWords = 312;
+
+  static uint64_t Temper(uint64_t z) {
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;
     z ^= (z << 37) & 0xfff7eee000000000ULL;
     return z ^ (z >> 43);
   }
-
- private:
-  static constexpr size_t kStateWords = 312;
 
   /// Regenerates all 312 state words and rewinds the read index.
   void Twist();
@@ -94,6 +104,12 @@ class Rng {
     return UnitUniform(engine_()) * (hi - lo) + lo;
   }
 
+  /// Writes the next `count` values `UniformReal(0, 1)` would return to
+  /// `out`, leaving the generator where those calls would.
+  void FillUniform01(double* out, size_t count) {
+    engine_.FillUnitUniform(out, count);
+  }
+
   /// Returns true with probability `p` (clamped to [0,1]); the same value
   /// `std::bernoulli_distribution(p)` would draw.
   bool Bernoulli(double p) {
@@ -133,60 +149,6 @@ class Rng {
 
   Mt19937_64 engine_;
   uint64_t seed_;
-};
-
-/// A small, fast counterpart to `Rng`: xoshiro256++ (~1 ns per draw vs
-/// ~2 ns for `Mt19937_64`, and no 312-word state to seed), for hot loops
-/// that consume bulk randomness — the checkerboard sweep kernels fill
-/// per-color-class uniform buffers from one of these. Seed it from the
-/// owning `Rng` stream (`FastRng(rng.Next())`) so determinism and fork
-/// discipline still hang off the single experiment seed. Not a drop-in
-/// for `Rng`: no distributions, no forking.
-class FastRng {
- public:
-  /// Expands the 64-bit seed into the 256-bit state with splitmix64.
-  explicit FastRng(uint64_t seed) {
-    uint64_t x = seed;
-    for (uint64_t& word : state_) {
-      // splitmix64 step (same finalizer as Rng::Scramble).
-      x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
-    }
-  }
-
-  /// Next raw 64-bit value (xoshiro256++).
-  uint64_t Next() {
-    uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-    uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
-    return result;
-  }
-
-  /// Uniform double in [0, 1): the top 53 bits scaled by 2^-53 — exactly
-  /// uniform over the representable grid.
-  double NextUniform() {
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-
-  /// Fills `out[0, count)` with uniforms in [0, 1).
-  void FillUniform(double* out, int count) {
-    for (int i = 0; i < count; ++i) out[i] = NextUniform();
-  }
-
- private:
-  static uint64_t Rotl(uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
-  uint64_t state_[4];
 };
 
 }  // namespace qmqo

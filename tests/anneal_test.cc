@@ -521,9 +521,7 @@ TEST(DWaveSimulatorTest, DeterministicGivenSeed) {
 // A coupling that programs to exactly 0 (here: a zero-weight term with no
 // control error) is dropped from the programmed problem, as the hardware
 // drops it. The device must then behave exactly as if the term were never
-// there — also for the checkerboard kernel, whose coloring the term would
-// change: with it, {0, 1, 2} is an odd cycle and the graph needs a greedy
-// three-coloring; without it, a two-coloring.
+// there.
 TEST(DWaveSimulatorTest, CouplingProgrammedToZeroIsDropped) {
   Rng rng(15);
   qubo::QuboProblem without(7);
@@ -539,34 +537,29 @@ TEST(DWaveSimulatorTest, CouplingProgrammedToZeroIsDropped) {
   ASSERT_EQ(with.interactions().size(), without.interactions().size() + 1);
   for (DeviceBackend backend : {DeviceBackend::kSimulatedAnnealing,
                                 DeviceBackend::kSimulatedQuantumAnnealing}) {
-    for (SweepKernel kernel :
-         {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
-      SCOPED_TRACE(testing::Message()
-                   << "backend " << static_cast<int>(backend) << ", kernel "
-                   << SweepKernelName(kernel));
-      DWaveOptions options;
-      options.backend = backend;
-      options.sweep_kernel = kernel;
-      options.control_error = 0.0;
-      options.num_reads = 24;
-      options.num_gauges = 3;
-      options.sa_sweeps = 16;
-      options.sqa.num_slices = 4;
-      options.sqa.sweeps = 12;
-      options.record_reads = true;
-      options.num_threads = 3;
-      auto a = DWaveSimulator(options).Sample(with);
-      auto b = DWaveSimulator(options).Sample(without);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(a->raw_reads, b->raw_reads);
-      ASSERT_EQ(a->samples.size(), b->samples.size());
-      for (size_t i = 0; i < a->samples.size(); ++i) {
-        EXPECT_EQ(a->samples[i].assignment, b->samples[i].assignment);
-        EXPECT_EQ(a->samples[i].energy, b->samples[i].energy);
-        EXPECT_EQ(a->samples[i].num_occurrences,
-                  b->samples[i].num_occurrences);
-      }
+    SCOPED_TRACE(testing::Message()
+                 << "backend " << static_cast<int>(backend));
+    DWaveOptions options;
+    options.backend = backend;
+    options.control_error = 0.0;
+    options.num_reads = 24;
+    options.num_gauges = 3;
+    options.sa_sweeps = 16;
+    options.sqa.num_slices = 4;
+    options.sqa.sweeps = 12;
+    options.record_reads = true;
+    options.num_threads = 3;
+    auto a = DWaveSimulator(options).Sample(with);
+    auto b = DWaveSimulator(options).Sample(without);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a->raw_reads, b->raw_reads);
+    ASSERT_EQ(a->samples.size(), b->samples.size());
+    for (size_t i = 0; i < a->samples.size(); ++i) {
+      EXPECT_EQ(a->samples[i].assignment, b->samples[i].assignment);
+      EXPECT_EQ(a->samples[i].energy, b->samples[i].energy);
+      EXPECT_EQ(a->samples[i].num_occurrences,
+                b->samples[i].num_occurrences);
     }
   }
 }

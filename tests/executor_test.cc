@@ -1,15 +1,18 @@
 // Tests for the shared executor subsystem: thread-count resolution, static
 // chunk partitioning, task ordering independence, exception rethrow on the
-// submitting thread, nested ParallelFor safety, and worker-pool reuse
-// (zero spawns after construction).
+// submitting thread, nested ParallelFor safety, a waiting submitter running
+// other batches' chunks, and worker-pool reuse (zero spawns after
+// construction).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -143,6 +146,38 @@ TEST(ExecutorTest, NestedParallelForIsSafe) {
     }
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// One worker and the submitter. Whichever thread runs outer chunk 1 opens a
+// nested batch whose chunk 0 holds until its chunk 1 has run. The other
+// thread finishes outer chunk 0 and must claim that chunk 1 itself: a
+// submitter waiting for its stragglers runs other batches' chunks (and a
+// worker always did). Were the waiting submitter to sleep, the nested
+// chunk 0 would hold until its timeout.
+TEST(ExecutorTest, WaitingSubmitterRunsOtherBatchesChunks) {
+  Executor executor(1);
+  std::atomic<bool> released{false};
+  std::atomic<bool> timed_out{false};
+  executor.ParallelFor(2, 2, [&](int begin, int, int) {
+    if (begin == 0) return;
+    executor.ParallelFor(2, 2, [&](int inner, int, int) {
+      if (inner == 1) {
+        released.store(true);
+        return;
+      }
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!released.load()) {
+        if (std::chrono::steady_clock::now() > deadline) {
+          timed_out.store(true);
+          return;
+        }
+        std::this_thread::yield();
+      }
+    });
+  });
+  EXPECT_TRUE(released.load());
+  EXPECT_FALSE(timed_out.load());
 }
 
 TEST(ExecutorTest, WorkersSpawnedOnceAndReused) {

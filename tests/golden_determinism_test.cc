@@ -1,7 +1,7 @@
 // Golden determinism fixtures: committed JSON snapshots of the SampleSets
 // that SA, SQA, and the device simulator produce at fixed seeds — energies
 // (as exact IEEE-754 bit patterns), occurrence counts, and the packed
-// assignment words — for every sweep kernel. Each snapshot is asserted
+// assignment words. Each snapshot is asserted
 // byte-stable across 1/2/4 worker threads and against the committed file,
 // so future refactors of the samplers, the parallel read engine, or the
 // SampleSet representation diff against committed truth instead of
@@ -28,6 +28,7 @@
 #include "anneal/simulated_annealer.h"
 #include "anneal/sqa.h"
 #include "harness/resilient_solver.h"
+#include "util/fault.h"
 #include "util/rng.h"
 #include "workloads/coloring.h"
 #include "workloads/max_clique.h"
@@ -121,89 +122,164 @@ void CheckGolden(const std::string& name, const std::string& serialized) {
       << "call the golden diff out in the PR.";
 }
 
-constexpr SweepKernel kKernels[] = {SweepKernel::kScalar,
-                                    SweepKernel::kCheckerboard};
 constexpr int kThreadCounts[] = {1, 2, 4};
 
 TEST(GoldenDeterminismTest, SimulatedAnnealerSnapshots) {
   qubo::QuboProblem problem = FixtureProblem();
-  for (SweepKernel kernel : kKernels) {
-    std::string reference;
-    for (int threads : kThreadCounts) {
-      SaOptions options;
-      options.num_reads = 12;
-      options.sweeps_per_read = 48;
-      options.seed = 7;
-      options.sweep_kernel = kernel;
-      options.num_threads = threads;
-      const std::string serialized =
-          Serialize("sa", SweepKernelName(kernel),
-                    SimulatedAnnealer(options).Sample(problem));
-      if (threads == 1) {
-        reference = serialized;
-      } else {
-        EXPECT_EQ(serialized, reference)
-            << "sa/" << SweepKernelName(kernel) << " at " << threads
-            << " threads diverged from serial";
-      }
+  std::string reference;
+  for (int threads : kThreadCounts) {
+    SaOptions options;
+    options.num_reads = 12;
+    options.sweeps_per_read = 48;
+    options.seed = 7;
+    options.num_threads = threads;
+    const std::string serialized =
+        Serialize("sa", "scalar",
+                  SimulatedAnnealer(options).Sample(problem));
+    if (threads == 1) {
+      reference = serialized;
+    } else {
+      EXPECT_EQ(serialized, reference)
+          << "sa/scalar at " << threads
+          << " threads diverged from serial";
     }
-    CheckGolden(std::string("sa_") + SweepKernelName(kernel), reference);
   }
+  CheckGolden("sa_scalar", reference);
 }
 
 TEST(GoldenDeterminismTest, SqaSnapshots) {
   qubo::QuboProblem problem = FixtureProblem();
-  for (SweepKernel kernel : kKernels) {
-    std::string reference;
-    for (int threads : kThreadCounts) {
-      SqaOptions options;
-      options.num_reads = 6;
-      options.num_slices = 4;
-      options.sweeps = 24;
-      options.seed = 9;
-      options.sweep_kernel = kernel;
-      options.num_threads = threads;
-      const std::string serialized =
-          Serialize("sqa", SweepKernelName(kernel),
-                    SimulatedQuantumAnnealer(options).Sample(problem));
-      if (threads == 1) {
-        reference = serialized;
-      } else {
-        EXPECT_EQ(serialized, reference)
-            << "sqa/" << SweepKernelName(kernel) << " at " << threads
-            << " threads diverged from serial";
-      }
+  std::string reference;
+  for (int threads : kThreadCounts) {
+    SqaOptions options;
+    options.num_reads = 6;
+    options.num_slices = 4;
+    options.sweeps = 24;
+    options.seed = 9;
+    options.num_threads = threads;
+    const std::string serialized =
+        Serialize("sqa", "scalar",
+                  SimulatedQuantumAnnealer(options).Sample(problem));
+    if (threads == 1) {
+      reference = serialized;
+    } else {
+      EXPECT_EQ(serialized, reference)
+          << "sqa/scalar at " << threads
+          << " threads diverged from serial";
     }
-    CheckGolden(std::string("sqa_") + SweepKernelName(kernel), reference);
   }
+  CheckGolden("sqa_scalar", reference);
 }
 
 TEST(GoldenDeterminismTest, DeviceSnapshots) {
   qubo::QuboProblem problem = FixtureProblem();
-  for (SweepKernel kernel : kKernels) {
+  std::string reference;
+  for (int threads : kThreadCounts) {
+    DWaveOptions options;
+    options.num_reads = 12;
+    options.num_gauges = 3;
+    options.sa_sweeps = 24;
+    options.seed = 11;
+    options.num_threads = threads;
+    auto result = DWaveSimulator(options).Sample(problem);
+    ASSERT_TRUE(result.ok());
+    const std::string serialized =
+        Serialize("device", "scalar", result->samples);
+    if (threads == 1) {
+      reference = serialized;
+    } else {
+      EXPECT_EQ(serialized, reference)
+          << "device/scalar at " << threads
+          << " threads diverged from serial";
+    }
+  }
+  CheckGolden("device_scalar", reference);
+}
+
+/// `Serialize` plus a device call's dropout count and chronological
+/// `raw_reads`, one read's packed words per line.
+std::string SerializeDevice(const std::string& engine,
+                            const DeviceResult& result) {
+  std::string samples = Serialize(engine, "scalar", result.samples);
+  samples.resize(samples.size() - 3);  // reopen the object: drop "\n}\n"
+  std::ostringstream out;
+  out << samples << ",\n";
+  out << "  \"dropped_reads\": " << result.dropped_reads << ",\n";
+  out << "  \"raw_reads\": [";
+  int index = 0;
+  for (const AssignmentRef read : result.raw_reads) {
+    out << (index++ == 0 ? "\n" : ",\n") << "    [";
+    for (int w = 0; w < read.num_words(); ++w) {
+      out << (w == 0 ? "" : ", ") << "\"" << HexU64(read.words()[w]) << "\"";
+    }
+    out << "]";
+  }
+  out << "\n  ]\n}\n";
+  return out.str();
+}
+
+/// Device calls whose gauges hold 1, 2 and 3 (mod 4) reads, so a sweep
+/// that runs a gauge's reads in groups of four always leaves a tail:
+/// 13 reads over 3 gauges (4/4/5), 10 reads on one gauge, and 23 over 3
+/// (7/7/9). Every read is recorded, and read dropout is armed, so a
+/// dropped read inside a group is covered too.
+TEST(GoldenDeterminismTest, DeviceTailSnapshots) {
+  qubo::QuboProblem problem = FixtureProblem();
+  struct Shape {
+    int reads;
+    int gauges;
+  };
+  for (const Shape shape : {Shape{13, 3}, Shape{10, 1}, Shape{23, 3}}) {
+    const std::string name = "device_tail_" + std::to_string(shape.reads) +
+                             "x" + std::to_string(shape.gauges);
     std::string reference;
     for (int threads : kThreadCounts) {
+      util::FaultInjector faults(17);
+      util::FaultSpec dropout;
+      dropout.probability = 0.15;
+      faults.Arm("device.read_dropout", dropout);
       DWaveOptions options;
-      options.num_reads = 12;
-      options.num_gauges = 3;
+      options.num_reads = shape.reads;
+      options.num_gauges = shape.gauges;
       options.sa_sweeps = 24;
-      options.seed = 11;
-      options.sweep_kernel = kernel;
+      options.seed = 19;
+      options.record_reads = true;
+      options.faults = &faults;
       options.num_threads = threads;
       auto result = DWaveSimulator(options).Sample(problem);
-      ASSERT_TRUE(result.ok());
-      const std::string serialized =
-          Serialize("device", SweepKernelName(kernel), result->samples);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      const std::string serialized = SerializeDevice(name, *result);
       if (threads == 1) {
         reference = serialized;
       } else {
         EXPECT_EQ(serialized, reference)
-            << "device/" << SweepKernelName(kernel) << " at " << threads
-            << " threads diverged from serial";
+            << name << " at " << threads << " threads diverged from serial";
       }
     }
-    CheckGolden(std::string("device_") + SweepKernelName(kernel), reference);
+    CheckGolden(name, reference);
   }
+}
+
+/// SA with 7 reads: one group of four and a tail of three.
+TEST(GoldenDeterminismTest, SaTailSnapshot) {
+  qubo::QuboProblem problem = FixtureProblem();
+  std::string reference;
+  for (int threads : kThreadCounts) {
+    SaOptions options;
+    options.num_reads = 7;
+    options.sweeps_per_read = 40;
+    options.seed = 23;
+    options.num_threads = threads;
+    const std::string serialized = Serialize(
+        "sa_tail", "scalar", SimulatedAnnealer(options).Sample(problem));
+    if (threads == 1) {
+      reference = serialized;
+    } else {
+      EXPECT_EQ(serialized, reference)
+          << "sa_tail at " << threads << " threads diverged from serial";
+    }
+  }
+  CheckGolden("sa_tail_scalar", reference);
 }
 
 /// The capped (streaming top-k) SA result is part of the frozen contract

@@ -87,6 +87,29 @@ TEST(RunReadsTest, PartitionsEveryReadExactlyOnce) {
   }
 }
 
+TEST(RunReadsTest, SplitReadGroupsKeepsGroupsInsideSegments) {
+  // Gauges of 4, 5, 10 and 3 reads at width 4: full groups never cross a
+  // gauge, and each gauge's tail becomes single reads.
+  const std::vector<ReadGroup> groups = SplitReadGroups({4, 5, 10, 3}, 4);
+  const std::vector<std::pair<int, int>> expected = {
+      {0, 4},  {4, 4},  {8, 1},  {9, 4},  {13, 4},
+      {17, 1}, {18, 1}, {19, 1}, {20, 1}, {21, 1}};
+  ASSERT_EQ(groups.size(), expected.size());
+  for (size_t k = 0; k < groups.size(); ++k) {
+    EXPECT_EQ(groups[k].first, expected[k].first) << "group " << k;
+    EXPECT_EQ(groups[k].count, expected[k].second) << "group " << k;
+  }
+  // Width 1 is one read per unit.
+  const std::vector<ReadGroup> singles = SplitReadGroups({3, 2}, 1);
+  ASSERT_EQ(singles.size(), 5u);
+  for (size_t k = 0; k < singles.size(); ++k) {
+    EXPECT_EQ(singles[k].first, static_cast<int>(k));
+    EXPECT_EQ(singles[k].count, 1);
+  }
+  EXPECT_TRUE(SplitReadGroups({}, 4).empty());
+  EXPECT_TRUE(SplitReadGroups({0}, 4).empty());
+}
+
 TEST(RunReadsTest, ZeroReadsYieldsEmptyFinalizedSet) {
   SampleSet set = RunReads(0, 4, [](int, SampleSet*) { FAIL(); });
   EXPECT_TRUE(set.empty());

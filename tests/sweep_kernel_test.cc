@@ -1,26 +1,29 @@
-// Tests for the sweep-kernel layer: CSR graph coloring, the kernel
-// contracts (the screened exact Metropolis test, frozen scalar streams
-// against naive reference loops, batched initialization pinning),
-// field-update equivalence of the checkerboard sweep, thread-count
-// determinism, and energy-quality parity of both kernels on a 512-spin
-// Chimera glass.
+// Tests for the sweep layer: the screened exact Metropolis test, the
+// frozen SA and SQA streams against naive reference loops, the
+// initialization stream, and the AVX2 lanes against the scalar loop, spin
+// for spin.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "anneal/gauge.h"
 #include "anneal/schedule.h"
-#include "anneal/simulated_annealer.h"
 #include "anneal/sqa.h"
 #include "anneal/sweep_kernel.h"
 #include "chimera/topology.h"
+#include "embedding/embedded_qubo.h"
+#include "harness/paper_workload.h"
+#include "mapping/logical_mapping.h"
 #include "qubo/brute_force.h"
 #include "qubo/csr.h"
 #include "qubo/ising.h"
+#include "util/cpu.h"
 #include "util/rng.h"
 
 namespace qmqo {
@@ -42,121 +45,6 @@ qubo::IsingProblem ChimeraGlass(int rows, int cols, Rng* rng) {
   return ising;
 }
 
-qubo::IsingProblem RandomIsing(int num_spins, double density, Rng* rng) {
-  qubo::IsingProblem ising(num_spins);
-  for (int i = 0; i < num_spins; ++i) {
-    ising.AddField(i, rng->UniformReal(-2.0, 2.0));
-    for (int j = i + 1; j < num_spins; ++j) {
-      if (rng->Bernoulli(density)) {
-        ising.AddCoupling(i, j, rng->UniformReal(-2.0, 2.0));
-      }
-    }
-  }
-  return ising;
-}
-
-/// A proper coloring never places two adjacent vertices in one class, and
-/// its classes partition the vertex set.
-void ExpectValidColoring(const qubo::CsrGraph& graph,
-                         const qubo::Coloring& coloring) {
-  const int n = graph.num_vars();
-  ASSERT_EQ(static_cast<int>(coloring.color_of.size()), n);
-  for (qubo::VarId v = 0; v < n; ++v) {
-    int c = coloring.color_of[static_cast<size_t>(v)];
-    ASSERT_GE(c, 0);
-    ASSERT_LT(c, coloring.num_colors);
-    for (auto [u, w] : graph.row(v)) {
-      (void)w;
-      EXPECT_NE(coloring.color_of[static_cast<size_t>(u)], c)
-          << "edge (" << v << ", " << u << ") inside color class " << c;
-    }
-  }
-  // class_members is a permutation of [0, n) grouped consistently.
-  ASSERT_EQ(static_cast<int>(coloring.class_members.size()), n);
-  ASSERT_EQ(static_cast<int>(coloring.class_offsets.size()),
-            coloring.num_colors + 1);
-  std::vector<int> seen(static_cast<size_t>(n), 0);
-  for (int c = 0; c < coloring.num_colors; ++c) {
-    for (int k = 0; k < coloring.class_size(c); ++k) {
-      qubo::VarId v = coloring.class_begin(c)[k];
-      EXPECT_EQ(coloring.color_of[static_cast<size_t>(v)], c);
-      ++seen[static_cast<size_t>(v)];
-    }
-  }
-  for (int count : seen) EXPECT_EQ(count, 1);
-}
-
-// --------------------------------------------------------------------
-// Graph coloring
-// --------------------------------------------------------------------
-
-TEST(ColoringTest, ChimeraIsBipartiteWithTwoBalancedClasses) {
-  Rng rng(1);
-  qubo::IsingProblem glass = ChimeraGlass(4, 4, &rng);
-  glass.Finalize();
-  qubo::Coloring coloring = qubo::ColorGraph(glass.csr());
-  EXPECT_TRUE(coloring.is_bipartite);
-  EXPECT_EQ(coloring.num_colors, 2);
-  ExpectValidColoring(glass.csr(), coloring);
-  // The Chimera checkerboard: (side + row + col) parity splits evenly.
-  EXPECT_EQ(coloring.class_size(0), glass.num_spins() / 2);
-  EXPECT_EQ(coloring.class_size(1), glass.num_spins() / 2);
-}
-
-TEST(ColoringTest, RandomCsrGraphsGetValidColorings) {
-  for (int seed = 0; seed < 6; ++seed) {
-    Rng rng(static_cast<uint64_t>(seed) + 100);
-    qubo::IsingProblem ising =
-        RandomIsing(rng.UniformInt(8, 40), rng.UniformReal(0.1, 0.6), &rng);
-    ising.Finalize();
-    qubo::Coloring coloring = qubo::ColorGraph(ising.csr());
-    ExpectValidColoring(ising.csr(), coloring);
-  }
-}
-
-TEST(ColoringTest, TriangleNeedsThreeColors) {
-  qubo::IsingProblem ising(3);
-  ising.AddCoupling(0, 1, 1.0);
-  ising.AddCoupling(1, 2, 1.0);
-  ising.AddCoupling(0, 2, 1.0);
-  ising.Finalize();
-  qubo::Coloring coloring = qubo::ColorGraph(ising.csr());
-  EXPECT_FALSE(coloring.is_bipartite);
-  EXPECT_EQ(coloring.num_colors, 3);
-  ExpectValidColoring(ising.csr(), coloring);
-}
-
-TEST(ColoringTest, EdgelessGraphUsesOneClass) {
-  qubo::IsingProblem ising(5);
-  ising.AddField(0, 1.0);
-  ising.Finalize();
-  qubo::Coloring coloring = qubo::ColorGraph(ising.csr());
-  EXPECT_TRUE(coloring.is_bipartite);
-  EXPECT_EQ(coloring.num_colors, 1);
-  EXPECT_EQ(coloring.class_size(0), 5);
-}
-
-// --------------------------------------------------------------------
-// Kernel naming
-// --------------------------------------------------------------------
-
-TEST(SweepKernelTest, NamesRoundTrip) {
-  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
-    SweepKernel parsed = SweepKernel::kScalar;
-    EXPECT_TRUE(ParseSweepKernel(SweepKernelName(kernel), &parsed));
-    EXPECT_EQ(parsed, kernel);
-  }
-  SweepKernel untouched = SweepKernel::kCheckerboard;
-  EXPECT_FALSE(ParseSweepKernel("warp", &untouched));
-  EXPECT_EQ(untouched, SweepKernel::kCheckerboard);
-  // The removed fast-math kernel's name ("checkerboard" + "_fast") is no
-  // longer accepted.
-  const std::string removed =
-      std::string(SweepKernelName(SweepKernel::kCheckerboard)) + "_fast";
-  EXPECT_FALSE(ParseSweepKernel(removed, &untouched));
-  EXPECT_EQ(untouched, SweepKernel::kCheckerboard);
-}
-
 // --------------------------------------------------------------------
 // MetropolisAccept: the screened exact test
 // --------------------------------------------------------------------
@@ -165,7 +53,7 @@ TEST(SweepKernelTest, NamesRoundTrip) {
 bool PlainAccept(double u, double bd) { return u < std::exp(-bd); }
 
 TEST(MetropolisAcceptTest, MatchesPlainTestOnTenMillionSeededPairs) {
-  // u from the kScalar stream's UnitUniform, bd log-uniform over
+  // u from the SA stream's UnitUniform, bd log-uniform over
   // [1e-6, 800] — past exp's underflow at ~745.
   Rng rng(2024);
   const double log_lo = std::log(1e-6);
@@ -191,9 +79,12 @@ TEST(MetropolisAcceptTest, EdgeCasesMatchPlainTest) {
   const double kInf = std::numeric_limits<double>::infinity();
   const double kNan = std::numeric_limits<double>::quiet_NaN();
   const double kDenormal = std::numeric_limits<double>::denorm_min();
-  for (double u : {0.0, 0x1.0p-64, std::nextafter(1.0, 0.0)}) {
-    for (double bd : {0.0, kDenormal, 708.0, 745.2, 746.0, 1e300, kInf,
-                      kNan}) {
+  // 2 and the next double above it bracket the accept screen's range.
+  for (double u : {0.0, kDenormal, 0x1.0p-64, 0.1, 0.5,
+                   std::nextafter(1.0, 0.0)}) {
+    for (double bd : {0.0, -0.0, kDenormal, 1e-300, 2.0,
+                      std::nextafter(2.0, 3.0), 708.0, 745.2, 746.0, 1e300,
+                      kInf, kNan}) {
       EXPECT_EQ(MetropolisAccept(u, bd), PlainAccept(u, bd))
           << "u = " << u << ", bd = " << bd;
     }
@@ -201,15 +92,17 @@ TEST(MetropolisAcceptTest, EdgeCasesMatchPlainTest) {
 }
 
 TEST(MetropolisAcceptTest, OneUlpAroundTheThresholdMatchesPlainTest) {
-  // u one ulp either side of exp(-bd): where the screen's margin matters.
+  // u one ulp either side of exp(-bd): where the screens' margins matter.
   // Small bd makes the cubic equal e^bd to the last bit, so u·P lands on
   // 1 within rounding — a screen without its 1e-12 margin rejects some
-  // of these accepts.
+  // of these accepts. Over [1e-8, 2] the accept screen's bound sits just
+  // under exp(-bd) too, and without its margin it would accept some of
+  // these rejects.
   std::vector<double> bds;
-  for (int k = 0; k <= 400; ++k) {
-    bds.push_back(1e-8 * std::pow(1e6, k / 400.0));  // [1e-8, 1e-2]
+  for (int k = 0; k <= 4000; ++k) {
+    bds.push_back(1e-8 * std::pow(2e8, k / 4000.0));  // [1e-8, 2]
   }
-  for (double bd : {0.5, 1.0, 3.0, 10.0, 100.0, 700.0, 708.0, 744.0}) {
+  for (double bd : {3.0, 10.0, 100.0, 700.0, 708.0, 744.0}) {
     bds.push_back(bd);
   }
   for (double bd : bds) {
@@ -222,7 +115,28 @@ TEST(MetropolisAcceptTest, OneUlpAroundTheThresholdMatchesPlainTest) {
   }
 }
 
-/// The kScalar sweep as it read before the screen: ascending spin order,
+TEST(MetropolisAcceptTest, SureAcceptBoundStaysBelowExp) {
+  // The accept screen's bound over e^{-bd}, densely over [0, 3]: at most
+  // 1 - 0.999e-12 (the rounding of L7 takes almost nothing of the 1e-12
+  // margin), and below the rounded std::exp(-bd) that the plain test
+  // compares against.
+  long double worst_ratio = 0.0L;
+  constexpr int kPoints = 3'000'000;
+  for (int k = 0; k <= kPoints; ++k) {
+    const double bd = 3.0 * k / kPoints;
+    const double bound = SureAcceptBound(bd);
+    EXPECT_LT(bound, std::exp(-bd)) << "bd = " << bd;
+    worst_ratio = std::max(worst_ratio, static_cast<long double>(bound) /
+                                            std::exp(-static_cast<long double>(bd)));
+  }
+  EXPECT_LE(worst_ratio, 1.0L - 0.999e-12L);
+  // The bound is tight enough to settle proposals: at bd = 2 it is
+  // within 4% of e^{-2}, near 0 within 1e-11.
+  EXPECT_GT(SureAcceptBound(2.0), 0.96 * std::exp(-2.0));
+  EXPECT_GT(SureAcceptBound(1e-6), std::exp(-1e-6) - 1e-11);
+}
+
+/// The SA sweep as it read before the screen: ascending spin order,
 /// one UniformReal per uphill proposal, plain `std::exp`.
 void NaiveScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
                        int sweeps, Rng* rng, std::vector<int8_t>* spins) {
@@ -251,7 +165,7 @@ void NaiveScalarSweeps(const qubo::IsingProblem& ising, const Schedule& beta,
   }
 }
 
-/// The kScalar SQA sampler as it read before the screen, one read: the
+/// The SQA sampler as it read before the screen, one read: the
 /// forked read stream, legacy initialization, slice-by-slice local moves
 /// then global moves with plain `std::exp`, and best-slice read-out.
 std::vector<int8_t> NaiveSqaRead(const qubo::IsingProblem& ising,
@@ -346,8 +260,8 @@ qubo::IsingProblem ChainedChimeraProblem(int rows, int cols, Rng* rng) {
 }
 
 TEST(MetropolisAcceptTest, ScalarKernelsEqualNaiveReferenceSpinForSpin) {
-  // The screen must leave kScalar's random stream and every decision
-  // untouched: RunSweeps(kScalar) and the SQA kScalar sampler equal the
+  // The screen must leave the SA stream and every decision untouched:
+  // RunSweeps and the SQA sampler equal the
   // unscreened loops over 20 seeds, on a 512-spin glass and on a chained
   // Chimera problem (whose chain couplers make large beta·delta common).
   Rng build_rng(61);
@@ -363,8 +277,7 @@ TEST(MetropolisAcceptTest, ScalarKernelsEqualNaiveReferenceSpinForSpin) {
       RandomSpins(&init, &spins);
       std::vector<int8_t> reference(spins);
       Rng kernel_rng(seed * 7919), naive_rng(seed * 7919);
-      RunSweeps(*ising, nullptr, beta, 64, SweepKernel::kScalar, &kernel_rng,
-                &spins);
+      RunSweeps(*ising, beta, 64, &kernel_rng, &spins);
       NaiveScalarSweeps(*ising, beta, 64, &naive_rng, &reference);
       EXPECT_EQ(spins, reference) << "SA seed " << seed;
       EXPECT_EQ(kernel_rng.Next(), naive_rng.Next())
@@ -388,201 +301,42 @@ TEST(MetropolisAcceptTest, ScalarKernelsEqualNaiveReferenceSpinForSpin) {
 // Initialization contracts
 // --------------------------------------------------------------------
 
-TEST(RandomSpinsTest, BatchedSequenceIsPinned) {
-  // The checkerboard kernels' seed contract: 64 spins bit-unpacked per
-  // Rng::Next draw. This literal sequence (seed 42) must never change
-  // without bumping the documented contract in sweep_kernel.h.
-  const int8_t kExpected[80] = {
-      1,  -1, -1, 1,  1,  1,  1,  1,  1,  1,  1,  -1, -1, 1,  -1, 1,
-      1,  1,  -1, 1,  -1, 1,  1,  -1, 1,  -1, 1,  -1, 1,  -1, 1,  -1,
-      -1, -1, -1, -1, -1, 1,  1,  -1, 1,  1,  -1, 1,  -1, -1, -1, 1,
-      1,  -1, -1, -1, -1, -1, 1,  1,  1,  1,  -1, -1, -1, 1,  -1, -1,
-      1,  -1, 1,  -1, -1, 1,  -1, -1, 1,  1,  -1, -1, 1,  1,  1,  1};
-  std::vector<int8_t> spins(80);
-  Rng rng(42);
-  RandomSpinsBatched(&rng, &spins);
-  for (int i = 0; i < 80; ++i) {
-    EXPECT_EQ(spins[i], kExpected[i]) << "at index " << i;
-  }
-}
-
-TEST(RandomSpinsTest, BatchedMatchesWordBitUnpack) {
-  // The batched draw consumes exactly ceil(n / 64) Next() calls and maps
-  // bit b of each word to spin 64*word + b.
-  std::vector<int8_t> spins(130);
-  Rng rng(9);
-  RandomSpinsBatched(&rng, &spins);
-  Rng replay(9);
-  for (size_t base = 0; base < spins.size(); base += 64) {
-    uint64_t word = replay.Next();
-    for (size_t bit = 0; bit < 64 && base + bit < spins.size(); ++bit) {
-      EXPECT_EQ(spins[base + bit], (word >> bit) & 1 ? 1 : -1);
-    }
-  }
-}
-
-TEST(RandomSpinsTest, ScalarKernelKeepsLegacyBernoulliStream) {
-  // InitSpins(kScalar) must stay on the legacy one-Bernoulli-per-spin
-  // stream — that is the bit-exactness contract of the default path.
+TEST(RandomSpinsTest, KeepsLegacyBernoulliStream) {
+  // RandomSpins must stay on the legacy one-Bernoulli-per-spin stream —
+  // that is part of the bit-exactness contract.
   std::vector<int8_t> via_init(50), via_legacy(50);
   Rng a(7), b(7);
-  InitSpins(SweepKernel::kScalar, &a, &via_init);
+  RandomSpins(&a, &via_init);
   for (auto& s : via_legacy) s = b.Bernoulli(0.5) ? 1 : -1;
   EXPECT_EQ(via_init, via_legacy);
 }
 
-// --------------------------------------------------------------------
-// Field-update equivalence on a frozen spin trajectory
-// --------------------------------------------------------------------
-
-TEST(CheckerboardTest, IntraClassFlipsLeaveMemberDeltasFrozen) {
-  // The invariant the checkerboard sweep rests on: flipping any subset of
-  // one color class never changes another member's flip delta, so deciding
-  // the whole class against pre-pass fields equals deciding sequentially.
-  Rng rng(11);
-  qubo::IsingProblem glass = ChimeraGlass(2, 3, &rng);
-  glass.Finalize();
-  qubo::Coloring coloring = qubo::ColorGraph(glass.csr());
-  ASSERT_EQ(coloring.num_colors, 2);
-  for (int c = 0; c < coloring.num_colors; ++c) {
-    std::vector<int8_t> spins(static_cast<size_t>(glass.num_spins()));
-    RandomSpinsBatched(&rng, &spins);
-    // Frozen trajectory: pre-pass deltas of every member.
-    std::vector<double> frozen(static_cast<size_t>(coloring.class_size(c)));
-    for (int k = 0; k < coloring.class_size(c); ++k) {
-      frozen[static_cast<size_t>(k)] =
-          glass.FlipDelta(spins, coloring.class_begin(c)[k]);
-    }
-    // Flip an arbitrary half of the class, then re-evaluate the rest.
-    double flipped_delta_sum = 0.0;
-    for (int k = 0; k < coloring.class_size(c); k += 2) {
-      qubo::VarId v = coloring.class_begin(c)[k];
-      flipped_delta_sum += frozen[static_cast<size_t>(k)];
-      spins[static_cast<size_t>(v)] =
-          static_cast<int8_t>(-spins[static_cast<size_t>(v)]);
-    }
-    for (int k = 1; k < coloring.class_size(c); k += 2) {
-      EXPECT_DOUBLE_EQ(
-          glass.FlipDelta(spins, coloring.class_begin(c)[k]),
-          frozen[static_cast<size_t>(k)]);
-    }
-    // And the summed frozen deltas are exactly the realized energy change
-    // — the fields scattered by the apply phase stay consistent.
-    std::vector<int8_t> original(spins);
-    for (int k = 0; k < coloring.class_size(c); k += 2) {
-      qubo::VarId v = coloring.class_begin(c)[k];
-      original[static_cast<size_t>(v)] =
-          static_cast<int8_t>(-original[static_cast<size_t>(v)]);
-    }
-    EXPECT_NEAR(glass.Energy(spins) - glass.Energy(original),
-                flipped_delta_sum, 1e-9);
-  }
-}
-
-TEST(CheckerboardTest, ZeroBetaSweepFlipsEverySpinLikeScalar) {
+TEST(SweepTest, ZeroBetaSweepFlipsEverySpin) {
   // At beta == 0 every proposal is accepted (u < exp(0) = 1 for u in
-  // [0, 1)), so one sweep of *any* kernel negates the state — a frozen
-  // trajectory on which scalar and checkerboard field updates must agree
-  // exactly despite their different orders and random streams.
+  // [0, 1)), so one sweep negates the state: the incremental field update
+  // must keep every delta exact along that trajectory.
   Rng rng(13);
   qubo::IsingProblem glass = ChimeraGlass(3, 3, &rng);
   glass.Finalize();
-  SweepPlan plan(glass);
   Schedule zero_beta{0.0, 0.0, ScheduleShape::kLinear};
-  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
-    for (int sweeps : {1, 3}) {
-      std::vector<int8_t> spins(static_cast<size_t>(glass.num_spins()));
-      Rng read_rng(99);
-      RandomSpinsBatched(&read_rng, &spins);
-      std::vector<int8_t> initial(spins);
-      RunSweeps(glass, &plan, zero_beta, sweeps, kernel, &read_rng, &spins);
-      for (size_t i = 0; i < spins.size(); ++i) {
-        EXPECT_EQ(spins[i], sweeps % 2 == 0 ? initial[i] : -initial[i])
-            << SweepKernelName(kernel) << " sweeps=" << sweeps
-            << " spin " << i;
-      }
+  for (int sweeps : {1, 3}) {
+    std::vector<int8_t> spins(static_cast<size_t>(glass.num_spins()));
+    Rng read_rng(99);
+    RandomSpins(&read_rng, &spins);
+    std::vector<int8_t> initial(spins);
+    RunSweeps(glass, zero_beta, sweeps, &read_rng, &spins);
+    for (size_t i = 0; i < spins.size(); ++i) {
+      EXPECT_EQ(spins[i], sweeps % 2 == 0 ? initial[i] : -initial[i])
+          << "sweeps=" << sweeps << " spin " << i;
     }
   }
 }
 
 // --------------------------------------------------------------------
-// Determinism across thread counts
+// SQA
 // --------------------------------------------------------------------
 
-bool SameSamples(const SampleSet& a, const SampleSet& b) {
-  if (a.total_reads() != b.total_reads()) return false;
-  if (a.samples().size() != b.samples().size()) return false;
-  for (size_t i = 0; i < a.samples().size(); ++i) {
-    if (a.samples()[i].assignment != b.samples()[i].assignment) return false;
-    if (a.samples()[i].energy != b.samples()[i].energy) return false;
-    if (a.samples()[i].num_occurrences != b.samples()[i].num_occurrences) {
-      return false;
-    }
-  }
-  return true;
-}
-
-TEST(CheckerboardTest, BitIdenticalAcrossReadAndSweepThreads) {
-  Rng rng(17);
-  qubo::IsingProblem glass = ChimeraGlass(3, 3, &rng);
-  SaOptions options;
-  options.num_reads = 8;
-  options.sweeps_per_read = 48;
-  options.seed = 21;
-  options.sweep_kernel = SweepKernel::kCheckerboard;
-  SampleSet serial = SimulatedAnnealer(options).SampleIsing(glass);
-  for (int num_threads : {2, 4}) {
-    SaOptions parallel = options;
-    parallel.num_threads = num_threads;
-    EXPECT_TRUE(
-        SameSamples(serial, SimulatedAnnealer(parallel).SampleIsing(glass)))
-        << "num_threads=" << num_threads;
-  }
-  for (int sweep_threads : {0, 2, 3}) {
-    SaOptions fanned = options;
-    fanned.sweep_threads = sweep_threads;
-    EXPECT_TRUE(
-        SameSamples(serial, SimulatedAnnealer(fanned).SampleIsing(glass)))
-        << "sweep_threads=" << sweep_threads;
-  }
-}
-
-// --------------------------------------------------------------------
-// Energy-quality parity on a 512-spin glass
-// --------------------------------------------------------------------
-
-TEST(SweepKernelTest, KernelsReachParityOn512SpinGlass) {
-  Rng rng(23);
-  qubo::IsingProblem glass = ChimeraGlass(8, 8, &rng);  // 512 spins
-  ASSERT_EQ(glass.num_spins(), 512);
-  double best[2] = {0, 0};
-  int index = 0;
-  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
-    SaOptions options;
-    options.num_reads = 24;
-    options.sweeps_per_read = 256;
-    options.seed = 5;
-    options.sweep_kernel = kernel;
-    SampleSet samples = SimulatedAnnealer(options).SampleIsing(glass);
-    ASSERT_FALSE(samples.empty());
-    best[index++] = samples.best().energy;
-    // Reported energies are exact re-evaluations under every kernel.
-    for (const Sample& sample : samples.samples()) {
-      EXPECT_NEAR(glass.Energy(sample.assignment.ToSpins()), sample.energy,
-                  1e-9);
-    }
-  }
-  // Both kernels sample the same Boltzmann target: best-of-24 energies
-  // agree within a few percent on a glass this size.
-  EXPECT_NEAR(best[1], best[0], 0.03 * std::abs(best[0]))
-      << "checkerboard vs scalar: " << best[1] << " vs " << best[0];
-}
-
-// --------------------------------------------------------------------
-// SQA kernels
-// --------------------------------------------------------------------
-
-TEST(SqaKernelTest, AllKernelsFindGroundStateOfSmallProblem) {
+TEST(SqaTest, FindsGroundStateOfSmallProblem) {
   Rng rng(29);
   qubo::QuboProblem problem(8);
   for (int i = 0; i < 8; ++i) {
@@ -595,35 +349,255 @@ TEST(SqaKernelTest, AllKernelsFindGroundStateOfSmallProblem) {
   }
   auto exact = qubo::SolveExhaustive(problem);
   ASSERT_TRUE(exact.ok());
-  for (SweepKernel kernel : {SweepKernel::kScalar, SweepKernel::kCheckerboard}) {
-    SqaOptions options;
-    options.num_reads = 12;
-    options.num_slices = 8;
-    options.sweeps = 128;
-    options.seed = 31;
-    options.sweep_kernel = kernel;
-    SampleSet samples = SimulatedQuantumAnnealer(options).Sample(problem);
-    ASSERT_FALSE(samples.empty());
-    EXPECT_NEAR(samples.best().energy, exact->energy, 1e-9)
-        << SweepKernelName(kernel);
+  SqaOptions options;
+  options.num_reads = 12;
+  options.num_slices = 8;
+  options.sweeps = 128;
+  options.seed = 31;
+  SampleSet samples = SimulatedQuantumAnnealer(options).Sample(problem);
+  ASSERT_FALSE(samples.empty());
+  EXPECT_NEAR(samples.best().energy, exact->energy, 1e-9);
+}
+
+// --------------------------------------------------------------------
+// The lane kernel: kSweepLanes reads in lockstep, each equal to RunSweeps
+// --------------------------------------------------------------------
+
+/// A problem given as raw arrays, so fields and weights keep exactly the
+/// bits a test puts in (-0.0, inf, NaN, a coupling of exactly 0).
+struct RawIsing {
+  std::vector<int32_t> rows;
+  std::vector<qubo::VarId> ids;
+  std::vector<double> weights;
+  std::vector<double> fields;
+
+  /// Sets coupling (i, j) in both rows.
+  void SetCoupling(int i, int j, double weight) {
+    for (auto [row, col] : {std::pair<int, int>{i, j}, {j, i}}) {
+      for (int32_t e = rows[static_cast<size_t>(row)];
+           e < rows[static_cast<size_t>(row) + 1]; ++e) {
+        if (ids[static_cast<size_t>(e)] == col) {
+          weights[static_cast<size_t>(e)] = weight;
+        }
+      }
+    }
+  }
+
+  qubo::IsingView view() const {
+    return qubo::IsingView(
+        qubo::CsrView(static_cast<int>(fields.size()), rows.data(),
+                      ids.data(), weights.data()),
+        fields.data());
+  }
+};
+
+struct Coupling {
+  int i;
+  int j;
+  double weight;
+};
+
+/// Symmetric CSR rows in ascending neighbor order.
+RawIsing MakeRaw(std::vector<double> fields,
+                 const std::vector<Coupling>& couplings) {
+  const int n = static_cast<int>(fields.size());
+  std::vector<std::vector<std::pair<int, double>>> adjacency(
+      static_cast<size_t>(n));
+  for (const Coupling& c : couplings) {
+    adjacency[static_cast<size_t>(c.i)].push_back({c.j, c.weight});
+    adjacency[static_cast<size_t>(c.j)].push_back({c.i, c.weight});
+  }
+  RawIsing raw;
+  raw.fields = std::move(fields);
+  raw.rows.push_back(0);
+  for (auto& row : adjacency) {
+    std::sort(row.begin(), row.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [j, w] : row) {
+      raw.ids.push_back(j);
+      raw.weights.push_back(w);
+    }
+    raw.rows.push_back(static_cast<int32_t>(raw.ids.size()));
+  }
+  return raw;
+}
+
+/// A random ±1-weighted ring with chords over n spins, fields from `field`.
+RawIsing RingProblem(int n, double (*field)(int, Rng*), Rng* rng) {
+  std::vector<double> fields;
+  for (int i = 0; i < n; ++i) fields.push_back(field(i, rng));
+  std::vector<Coupling> couplings;
+  for (int i = 0; i < n && n > 1; ++i) {
+    const int j = (i + 1) % n;
+    if (j != i && !(n == 2 && i == 1)) {
+      couplings.push_back({i, j, rng->UniformReal(-1.0, 1.0)});
+    }
+    const int chord = (i + n / 2) % n;
+    if (n > 3 && i < chord) {
+      couplings.push_back({i, chord, rng->UniformReal(-1.0, 1.0)});
+    }
+  }
+  return MakeRaw(std::move(fields), couplings);
+}
+
+/// A seed-16 paper instance (2-plan queries at the capacity of an 8x8x4
+/// chip),
+/// mapped, embedded, converted to Ising, and gauge-transformed: the kind
+/// of problem the device model programs.
+qubo::IsingProblem GaugedPaperProblem() {
+  chimera::ChimeraGraph chip(8, 8, 4);
+  Rng rng(16);
+  harness::PaperWorkloadOptions workload;
+  workload.plans_per_query = 2;
+  auto paper = harness::GeneratePaperInstance(chip, workload, &rng);
+  EXPECT_TRUE(paper.ok()) << paper.status().ToString();
+  auto mapping = mapping::LogicalMapping::Create(paper->problem);
+  EXPECT_TRUE(mapping.ok());
+  auto embedded = embedding::EmbeddedQubo::Create(mapping->qubo(),
+                                                  paper->embedding, chip);
+  EXPECT_TRUE(embedded.ok()) << embedded.status().ToString();
+  qubo::IsingProblem ising = qubo::QuboToIsing(embedded->physical()).ising;
+  return GaugeTransform::Random(ising.num_spins(), &rng).Apply(ising);
+}
+
+class LaneSweepsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    if (!__builtin_cpu_supports("avx2")) {
+      GTEST_SKIP() << "this CPU lacks AVX2, so the lane kernel never runs "
+                      "(every read takes the scalar loop)";
+    }
+    // An AVX2 CPU must get the lanes: a dispatch that always fell back
+    // would pass every comparison below without testing anything.
+    ASSERT_TRUE(util::CpuHasAvx2());
+    ASSERT_EQ(SweepGroupWidth(), kSweepLanes);
+#else
+    GTEST_SKIP() << "the AVX2 lane kernel is built for x86-64 only";
+#endif
+  }
+
+  /// Reads seeded `seed`..`seed + 3` through `LaneSweeps`, and one by one
+  /// through `RunSweeps`: every lane must equal its scalar read
+  /// spin for spin.
+  static void ExpectLanesEqualScalar(const qubo::IsingView& ising,
+                                     const Schedule& beta, int sweeps,
+                                     uint64_t seed, const std::string& label) {
+    std::vector<Rng> lane_rngs;
+    std::vector<Rng> scalar_rngs;
+    std::vector<std::vector<int8_t>> lane_spins;
+    for (int k = 0; k < kSweepLanes; ++k) {
+      lane_rngs.emplace_back(seed + static_cast<uint64_t>(k));
+      lane_spins.emplace_back(static_cast<size_t>(ising.num_spins()));
+      RandomSpins(&lane_rngs.back(), &lane_spins.back());
+      scalar_rngs.push_back(lane_rngs.back());
+    }
+    std::vector<std::vector<int8_t>> scalar_spins = lane_spins;
+    LaneSweeps(ising, beta, sweeps, lane_rngs.data(), lane_spins.data());
+    for (int k = 0; k < kSweepLanes; ++k) {
+      RunSweeps(ising, beta, sweeps, &scalar_rngs[static_cast<size_t>(k)],
+                &scalar_spins[static_cast<size_t>(k)]);
+      EXPECT_EQ(lane_spins[static_cast<size_t>(k)],
+                scalar_spins[static_cast<size_t>(k)])
+          << label << ", seed " << seed << ", lane " << k;
+    }
+  }
+};
+
+TEST_F(LaneSweepsTest, GaugedPaperProblemAndGlassEqualScalar) {
+  Rng build_rng(71);
+  qubo::IsingProblem paper = GaugedPaperProblem();
+  qubo::IsingProblem glass = ChimeraGlass(8, 8, &build_rng);
+  qubo::IsingProblem chained = ChainedChimeraProblem(4, 4, &build_rng);
+  ASSERT_GT(paper.num_spins(), 100);
+  for (qubo::IsingProblem* ising : {&paper, &glass, &chained}) {
+    const qubo::IsingView view(*ising);
+    auto [hot, cold] = SuggestBetaRange(view);
+    const Schedule beta{hot, cold, ScheduleShape::kGeometric};
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      ExpectLanesEqualScalar(view, beta, 96, seed * 1000,
+                             std::to_string(ising->num_spins()) + " spins");
+    }
   }
 }
 
-TEST(SqaKernelTest, CheckerboardDeterministicAcrossThreads) {
-  Rng rng(37);
-  qubo::IsingProblem glass = ChimeraGlass(2, 2, &rng);
-  SqaOptions options;
-  options.num_reads = 6;
-  options.num_slices = 6;
-  options.sweeps = 24;
-  options.seed = 41;
-  options.sweep_kernel = SweepKernel::kCheckerboard;
-  SampleSet serial = SimulatedQuantumAnnealer(options).SampleIsing(glass);
-  for (int num_threads : {2, 3}) {
-    SqaOptions parallel = options;
-    parallel.num_threads = num_threads;
-    EXPECT_TRUE(SameSamples(
-        serial, SimulatedQuantumAnnealer(parallel).SampleIsing(glass)));
+TEST_F(LaneSweepsTest, SignedZerosInfAndNanEqualScalar) {
+  Rng rng(73);
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const Schedule beta{0.2, 4.0, ScheduleShape::kGeometric};
+  std::vector<std::pair<std::string, RawIsing>> cases;
+  cases.push_back({"+-0 fields", RingProblem(24, [](int i, Rng* r) {
+                     return i % 3 == 0 ? 0.0
+                                       : i % 3 == 1 ? -0.0
+                                                    : r->UniformReal(-1, 1);
+                   }, &rng)});
+  cases.push_back({"all-zero fields",
+                   RingProblem(24, [](int, Rng*) { return 0.0; }, &rng)});
+  RawIsing inf_coupling = RingProblem(
+      20, [](int, Rng* r) { return r->UniformReal(-1, 1); }, &rng);
+  inf_coupling.SetCoupling(4, 5, kInf);
+  cases.push_back({"inf coupling", inf_coupling});
+  // Two inf couplings from spin 4 to later spins: a lane whose spins 5
+  // and 14 disagree has a NaN field at 4 (so 4 does not flip there) while
+  // its fields at 5 and 14 stay ±inf. When another lane flips 4, the
+  // masked add must leave those fields as they are; multiplying the
+  // change by 0 would make them NaN.
+  inf_coupling.SetCoupling(4, 14, kInf);
+  cases.push_back({"two inf couplings", inf_coupling});
+  RawIsing nan_field = RingProblem(
+      20, [](int, Rng* r) { return r->UniformReal(-1, 1); }, &rng);
+  nan_field.fields[7] = kNan;
+  cases.push_back({"NaN field", nan_field});
+  RawIsing zero_coupling = RingProblem(
+      20, [](int, Rng* r) { return r->UniformReal(-1, 1); }, &rng);
+  zero_coupling.SetCoupling(2, 3, 0.0);  // programmed to exactly 0
+  zero_coupling.SetCoupling(8, 18, -0.0);
+  cases.push_back({"zero couplings", zero_coupling});
+  cases.push_back({"one spin", MakeRaw({0.3}, {})});
+  cases.push_back({"one zero-field spin", MakeRaw({-0.0}, {})});
+  for (const auto& [label, raw] : cases) {
+    for (int sweeps : {0, 1, 2, 40}) {
+      for (uint64_t seed = 1; seed <= 4; ++seed) {
+        ExpectLanesEqualScalar(raw.view(), beta, sweeps, seed,
+                               label + ", " + std::to_string(sweeps) +
+                                   " sweeps");
+      }
+    }
+  }
+}
+
+TEST_F(LaneSweepsTest, RunSweepGroupRunsTailsAndFullGroupsLikeScalar) {
+  // Through the dispatch: a full group takes the lanes, a tail of three
+  // runs read by read (and so leaves each stream exactly where the scalar
+  // loop does).
+  Rng build_rng(79);
+  qubo::IsingProblem glass = ChimeraGlass(4, 4, &build_rng);
+  const qubo::IsingView view(glass);
+  auto [hot, cold] = SuggestBetaRange(view);
+  const Schedule beta{hot, cold, ScheduleShape::kGeometric};
+  for (int count : {1, 3, kSweepLanes}) {
+    std::vector<Rng> group_rngs;
+    std::vector<std::vector<int8_t>> group_spins;
+    for (int k = 0; k < count; ++k) {
+      group_rngs.emplace_back(500 + static_cast<uint64_t>(k));
+      group_spins.emplace_back(static_cast<size_t>(glass.num_spins()));
+      RandomSpins(&group_rngs.back(), &group_spins.back());
+    }
+    std::vector<Rng> scalar_rngs = group_rngs;
+    std::vector<std::vector<int8_t>> scalar_spins = group_spins;
+    RunSweepGroup(view, beta, 32, count, group_rngs.data(),
+                  group_spins.data());
+    for (int k = 0; k < count; ++k) {
+      const size_t slot = static_cast<size_t>(k);
+      RunSweeps(view, beta, 32, &scalar_rngs[slot], &scalar_spins[slot]);
+      EXPECT_EQ(group_spins[slot], scalar_spins[slot])
+          << "group of " << count << ", read " << k;
+      if (count < kSweepLanes) {
+        EXPECT_EQ(group_rngs[slot].Next(), scalar_rngs[slot].Next())
+            << "tail read " << k << " left its stream elsewhere";
+      }
+    }
   }
 }
 

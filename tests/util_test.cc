@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <set>
+#include <vector>
 
 #include "util/rng.h"
 #include "util/stats.h"
@@ -111,6 +113,32 @@ TEST(RngTest, SameSeedSameStream) {
   }
 }
 
+TEST(RngTest, FillUniform01MatchesPerCallUniformReal) {
+  // Counts around the engine's 312-word block, from a fresh engine (whose
+  // first draw twists) and from one 100 draws into a block; afterwards
+  // both generators must stand at the same point of the stream.
+  for (int skip : {0, 100}) {
+    for (size_t count : {0u, 1u, 311u, 312u, 313u, 1000u}) {
+      Rng filled(4242);
+      Rng drawn(4242);
+      for (int k = 0; k < skip; ++k) {
+        filled.Next();
+        drawn.Next();
+      }
+      std::vector<double> out(count + 1, -1.0);
+      filled.FillUniform01(out.data(), count);
+      for (size_t k = 0; k < count; ++k) {
+        const double expected = drawn.UniformReal(0.0, 1.0);
+        ASSERT_EQ(std::memcmp(&out[k], &expected, sizeof(double)), 0)
+            << "skip " << skip << ", count " << count << ", value " << k;
+      }
+      EXPECT_EQ(out[count], -1.0) << "wrote past count " << count;
+      EXPECT_EQ(filled.Next(), drawn.Next())
+          << "skip " << skip << ", count " << count;
+    }
+  }
+}
+
 TEST(RngTest, DifferentSeedsDiffer) {
   Rng a(1);
   Rng b(2);
@@ -200,7 +228,7 @@ TEST(RngTest, SampleWithoutReplacementAllWhenCountExceedsN) {
 // --------------------------------------------------------------------
 // Stream parity: the in-house engine and uniform helper must reproduce
 // the standard library's stream value for value, since the bit-exact
-// kScalar kernel and every golden fixture hang off it.
+// SA sweep and every golden fixture hang off it.
 // --------------------------------------------------------------------
 
 // Rng's seed scrambler (splitmix64), so a std twin can be seeded alike.
