@@ -6,8 +6,9 @@
 // For each engine the serial path (1 thread) is compared against parallel
 // read fan-out; the benchmark *fails* (exit 1) unless the parallel sample
 // sets are bit-identical to serial. Results go to BENCH_annealer.json
-// (sweeps*spins/sec, wall time, thread count, the lanes' speedup over the
-// scalar loop) so the perf trajectory is machine-trackable across PRs.
+// (sweeps*spins/sec, wall time, thread count, the lanes' path, width and
+// speedup over the scalar loop, the uniform stream's ns per draw) so the
+// perf trajectory is machine-trackable across PRs.
 
 #include <sys/resource.h>
 
@@ -154,38 +155,40 @@ int main() {
       },
       &sa_serial);
 
-  // --- The lane kernel alone: one read per lane of an AVX2 vector, on the
-  // same glass, against the same reads run one by one through the scalar
-  // loop. Report-only (the baseline has no row for it): the bit-identity
-  // tests are its gate, and this row fails the bench only when a lane's
-  // spins differ from its scalar read. ---
-  const std::string lane_path = util::CpuHasAvx2() ? "avx2" : "scalar";
-  const int lane_reads = full ? 64 : 16;
+  // --- The lane kernel alone: one read per lane of a vector of doubles
+  // (eight per AVX-512 vector, four per AVX2 vector), on the same glass,
+  // against the same reads run one by one through the scalar loop. The
+  // read count is not a multiple of the width, so the last group runs
+  // with lanes masked off. Report-only (the baseline has no row for it):
+  // the bit-identity tests are its gate, and this row fails the bench only
+  // when a lane's spins differ from its scalar read. ---
+  const int lane_width = anneal::SweepGroupWidth();
+  const std::string lane_path = lane_width == anneal::kAvx512Lanes ? "avx512"
+                                : lane_width == anneal::kAvx2Lanes ? "avx2"
+                                                                   : "scalar";
+  const int lane_reads = (full ? 64 : 16) + 3;
   const qubo::IsingView glass_view(glass);
   auto [lane_hot, lane_cold] = anneal::SuggestBetaRange(glass_view);
   const anneal::Schedule lane_beta{lane_hot, lane_cold,
                                    anneal::ScheduleShape::kGeometric};
   auto run_lane_reads = [&](bool lanes, std::vector<std::vector<int8_t>>* out) {
+    std::vector<Rng> rngs;
+    out->assign(static_cast<size_t>(lane_reads),
+                std::vector<int8_t>(static_cast<size_t>(n)));
+    for (int k = 0; k < lane_reads; ++k) {
+      rngs.emplace_back(static_cast<uint64_t>(k) + 1);
+      anneal::RandomSpins(&rngs.back(), &(*out)[static_cast<size_t>(k)]);
+    }
     Stopwatch clock;
-    for (int first = 0; first < lane_reads; first += anneal::kSweepLanes) {
-      std::vector<Rng> rngs;
-      std::vector<std::vector<int8_t>> spins(
-          anneal::kSweepLanes, std::vector<int8_t>(static_cast<size_t>(n)));
-      for (int k = 0; k < anneal::kSweepLanes; ++k) {
-        rngs.emplace_back(static_cast<uint64_t>(first + k) + 1);
-        anneal::RandomSpins(&rngs.back(), &spins[static_cast<size_t>(k)]);
+    if (lanes) {
+      anneal::RunSweepGroup(glass_view, lane_beta, sa.sweeps_per_read,
+                            lane_reads, rngs.data(), out->data());
+    } else {
+      for (int k = 0; k < lane_reads; ++k) {
+        anneal::RunSweeps(glass_view, lane_beta, sa.sweeps_per_read,
+                          &rngs[static_cast<size_t>(k)],
+                          &(*out)[static_cast<size_t>(k)]);
       }
-      if (lanes) {
-        anneal::RunSweepGroup(glass_view, lane_beta, sa.sweeps_per_read,
-                              anneal::kSweepLanes, rngs.data(), spins.data());
-      } else {
-        for (int k = 0; k < anneal::kSweepLanes; ++k) {
-          anneal::RunSweeps(glass_view, lane_beta, sa.sweeps_per_read,
-                            &rngs[static_cast<size_t>(k)],
-                            &spins[static_cast<size_t>(k)]);
-        }
-      }
-      out->insert(out->end(), spins.begin(), spins.end());
     }
     return clock.ElapsedMillis();
   };
@@ -201,6 +204,7 @@ int main() {
     bench::JsonObject row;
     row.Add("engine", "sa_lanes")
         .Add("kernel", lane_path)
+        .Add("lanes", lane_width)
         .Add("threads", 1)
         .Add("wall_ms", lane_reads_ms)
         .Add("sweep_spins_per_sec", lane_sweep_spins / (lane_reads_ms / 1000.0))
@@ -208,11 +212,38 @@ int main() {
     rows.Add(row);
   }
   std::printf(
-      "%-20s threads= 1  wall=%9.1f ms  sweeps*spins/s=%.3e  path=%s  "
+      "%-20s threads= 1  wall=%9.1f ms  sweeps*spins/s=%.3e  path=%s x%d  "
       "%.2fx the scalar loop%s\n",
       "sa_lanes", lane_reads_ms, lane_sweep_spins / (lane_reads_ms / 1000.0),
-      lane_path.c_str(), lane_speedup,
+      lane_path.c_str(), lane_width, lane_speedup,
       lanes_identical ? "" : "  MISMATCH");
+
+  // --- The uniform stream the lanes draw from: `Rng::FillUniform01` in
+  // blocks of 256, as the lane kernel refills a lane. Report-only. ---
+  double fill_ns_per_draw = 0.0;
+  {
+    constexpr size_t kBlock = 256;
+    const int blocks = full ? 1 << 16 : 1 << 14;
+    std::vector<double> block(kBlock);
+    Rng fill_rng(11);
+    double checksum = 0.0;
+    Stopwatch clock;
+    for (int b = 0; b < blocks; ++b) {
+      fill_rng.FillUniform01(block.data(), kBlock);
+      checksum += block[static_cast<size_t>(b) % kBlock];
+    }
+    fill_ns_per_draw = clock.ElapsedMillis() * 1e6 /
+                       (static_cast<double>(blocks) * kBlock);
+    bench::JsonObject row;
+    row.Add("engine", "uniform_fill")
+        .Add("kernel", lane_path)
+        .Add("threads", 1)
+        .Add("uniform_fill_ns_per_draw", fill_ns_per_draw)
+        .Add("checksum", checksum);
+    rows.Add(row);
+    std::printf("%-20s threads= 1  %.2f ns per draw (blocks of %zu)\n",
+                "uniform_fill", fill_ns_per_draw, kBlock);
+  }
 
   // --- Memory accounting: bytes per retained sample on the serial SA
   // result. `bytes_per_sample` is measured (packed arena words + entry
@@ -372,6 +403,7 @@ int main() {
       .Add("full_scale", full)
       .Add("all_identical_to_serial", all_identical)
       .Add("sweep_lane_path", lane_path)
+      .Add("sweep_lane_width", lane_width)
       .Add("lane_speedup_vs_scalar", lane_speedup)
       .Add("bytes_per_sample", bytes_per_sample)
       .Add("unpacked_bytes_per_sample", unpacked_bytes_per_sample)

@@ -28,8 +28,8 @@
 /// the converted problem's CSR structure. Then every read of every gauge
 /// runs in one self-scheduled fan-out (anneal/parallel.h), with no barrier
 /// between gauges; on the SA backend of an AVX2 CPU a worker claims up to
-/// four reads of one gauge at a time and sweeps them in lockstep
-/// (anneal/sweep_kernel.h).
+/// `SweepGroupWidth()` reads of one gauge at a time (eight with AVX-512,
+/// four with AVX2) and sweeps them in lockstep (anneal/sweep_kernel.h).
 /// Read r of gauge g still forks the gauge's stream at its local index, so
 /// results are those of programming and annealing the gauges one after the
 /// other, bit for bit, at any thread count.
@@ -88,11 +88,12 @@ struct DWaveOptions {
   uint64_t seed = 7;
   /// Worker threads for the call's one read fan-out over all gauges:
   /// 1 = serial (default, keeps `wall_clock_ms` comparable across
-  /// machines), 0 = hardware concurrency. A worker claims a group of at
-  /// most four reads of one gauge at a time (the SA sweep's lanes on an
-  /// AVX2 CPU; one read otherwise and on the SQA backend), so a call of R
-  /// reads keeps at most about R/4 workers busy. Results are bit-identical for every thread count
-  /// (see anneal/parallel.h).
+  /// machines), 0 = hardware concurrency. A worker claims a group of up
+  /// to W = `SweepGroupWidth()` reads of one gauge at a time (the SA
+  /// sweep's lanes: W is 8 on an AVX-512 CPU, 4 with AVX2 only; one read
+  /// otherwise and on the SQA backend), so a gauge of R reads keeps at
+  /// most ceil(R/W) workers busy. Results are bit-identical for every
+  /// thread count (see anneal/parallel.h).
   int num_threads = 1;
   /// Worker pool the read fan-out runs on (both backends); null = the
   /// process-wide `util::Executor::Shared()` pool. Either way the pool is

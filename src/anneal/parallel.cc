@@ -56,10 +56,11 @@ std::vector<ReadGroup> SplitReadGroups(const std::vector<int>& segment_reads,
   int first = 0;
   for (const int reads : segment_reads) {
     const int end = first + reads;
-    for (; end - first >= width; first += width) {
-      groups.push_back({first, width});
+    while (first < end) {
+      const int count = std::min(width, end - first);
+      groups.push_back({first, count});
+      first += count;
     }
-    for (; first < end; ++first) groups.push_back({first, 1});
   }
   return groups;
 }

@@ -64,13 +64,13 @@ struct ReadGroup {
 };
 
 /// Splits consecutive segments of reads (`segment_reads[k]` reads of
-/// problem k, e.g. one gauge each) into claim units: groups of `width`
-/// reads, and each segment's tail of fewer than `width` reads as single
-/// reads, so the tail spreads across workers. A sampler passes the groups
-/// to `RunReads` as its units (`num_reads = groups.size()`) and runs each
-/// group with `RunSweepGroup` (sweep_kernel.h) at
-/// `width = SweepGroupWidth()`. Which reads share a group cannot
-/// change a result: every read keeps its own stream.
+/// problem k, e.g. one gauge each) into claim units of `width` reads, and
+/// each segment's tail of fewer than `width` reads as one smaller group,
+/// which the lane kernel runs with its missing lanes masked off. A sampler
+/// passes the groups to `RunReads` as its units (`num_reads =
+/// groups.size()`) and runs each group with `RunSweepGroup`
+/// (sweep_kernel.h) at `width = SweepGroupWidth()`. Which reads share a
+/// group cannot change a result: every read keeps its own stream.
 std::vector<ReadGroup> SplitReadGroups(const std::vector<int>& segment_reads,
                                        int width);
 

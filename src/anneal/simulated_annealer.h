@@ -38,9 +38,10 @@ struct SaOptions {
   uint64_t seed = 1;
   /// Worker threads for the read loop: 1 = serial (default, keeps
   /// wall-clock measurements comparable across machines), 0 = hardware
-  /// concurrency. On an AVX2 CPU a worker claims up to four reads at a
-  /// time and sweeps them in lockstep (anneal/sweep_kernel.h). Results are
-  /// bit-identical for every thread count (see anneal/parallel.h).
+  /// concurrency. On an AVX2 CPU a worker claims up to
+  /// `SweepGroupWidth()` reads at a time (eight with AVX-512, four with
+  /// AVX2) and sweeps them in lockstep (anneal/sweep_kernel.h). Results
+  /// are bit-identical for every thread count (see anneal/parallel.h).
   int num_threads = 1;
   /// Worker pool to fan reads across when `num_threads != 1`; null = the
   /// process-wide `util::Executor::Shared()` pool. Never owned.

@@ -1,8 +1,11 @@
 #include "anneal/sweep_kernel.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 
+#include "anneal/sweep_lanes.h"
 #include "util/cpu.h"
 
 namespace qmqo {
@@ -56,17 +59,54 @@ void RandomSpins(Rng* rng, std::vector<int8_t>* spins) {
   }
 }
 
-int SweepGroupWidth() { return util::CpuHasAvx2() ? kSweepLanes : 1; }
+int SweepGroupWidth() {
+  switch (util::CpuVectorIsa()) {
+    case util::VectorIsa::kAvx512:
+      return kAvx512Lanes;
+    case util::VectorIsa::kAvx2:
+      return kAvx2Lanes;
+    case util::VectorIsa::kNone:
+      break;
+  }
+  return 1;
+}
+
+void LaneSweeps(int width, const qubo::IsingView& ising, const Schedule& beta,
+                int sweeps, int count, Rng* rngs,
+                std::vector<int8_t>* spins) {
+  assert(count >= 1 && count <= width);
+#ifdef QMQO_AVX2_PATHS
+  if (width == kAvx512Lanes) {
+    LaneSweepsAvx512(ising, beta, sweeps, count, rngs, spins);
+    return;
+  }
+  if (width == kAvx2Lanes) {
+    LaneSweepsAvx2(ising, beta, sweeps, count, rngs, spins);
+    return;
+  }
+#else
+  (void)ising;
+  (void)beta;
+  (void)sweeps;
+  (void)rngs;
+  (void)spins;
+#endif
+  std::abort();  // unreachable: SweepGroupWidth() picks a compiled width
+}
 
 void RunSweepGroup(const qubo::IsingView& ising, const Schedule& beta,
                    int sweeps, int count, Rng* rngs,
                    std::vector<int8_t>* spins) {
-  if (count == kSweepLanes && util::CpuHasAvx2()) {
-    LaneSweeps(ising, beta, sweeps, rngs, spins);
+  const int width = SweepGroupWidth();
+  if (width == 1) {
+    for (int k = 0; k < count; ++k) {
+      RunSweeps(ising, beta, sweeps, &rngs[k], &spins[k]);
+    }
     return;
   }
-  for (int k = 0; k < count; ++k) {
-    RunSweeps(ising, beta, sweeps, &rngs[k], &spins[k]);
+  for (int first = 0; first < count; first += width) {
+    LaneSweeps(width, ising, beta, sweeps, std::min(width, count - first),
+               rngs + first, spins + first);
   }
 }
 

@@ -11,12 +11,14 @@
 /// are frozen across PRs and identical at any thread count. The stream is
 /// the standard library's 64-bit Mersenne Twister, value for value, but
 /// comes from the in-house `Mt19937_64` and the exact branch-free
-/// `UnitUniform` (util/rng.h), which cut a uniform draw from ~13.5 to ~3 ns
-/// (x86-64, -O3). On a CPU with AVX2, `RunSweepGroup` runs four reads of
-/// one problem in lockstep, one per lane of a vector of doubles
-/// (`LaneSweeps`, sweep_lanes.cc); each lane is spin for spin the scalar
-/// loop's read, so the lanes are an implementation of the same sweep, not
-/// another kernel.
+/// `UnitUniform` (util/rng.h). On a CPU with AVX2, `RunSweepGroup` runs
+/// the reads of one problem in lockstep, one per lane of a vector of
+/// doubles: eight per AVX-512 vector, four per AVX2 vector (`LaneSweeps`,
+/// anneal/sweep_lanes.h). A group of fewer reads masks its missing lanes
+/// off. Each lane is spin for spin the scalar loop's read, so the lanes
+/// are an implementation of the same sweep, not another kernel;
+/// `RunSweeps` is the tests' reference and the only path on a CPU without
+/// AVX2.
 ///
 /// The exact Metropolis test is `MetropolisAccept` (below): it decides
 /// exactly `u < std::exp(-β·Δ)`, bit for bit, but a cubic lower bound on
@@ -110,31 +112,36 @@ void RandomSpins(Rng* rng, std::vector<int8_t>* spins);
 void RunSweeps(const qubo::IsingView& ising, const Schedule& beta, int sweeps,
                Rng* rng, std::vector<int8_t>* spins);
 
-/// Reads the lane kernel sweeps in lockstep: one per lane of an AVX2
-/// vector of doubles.
-constexpr int kSweepLanes = 4;
+/// Reads per lane group: one per double of a 256-bit AVX2 vector, and of
+/// a 512-bit AVX-512 vector.
+constexpr int kAvx2Lanes = 4;
+constexpr int kAvx512Lanes = 8;
 
-/// Reads per claim unit on this CPU: `kSweepLanes` when it supports AVX2
-/// (`util::CpuHasAvx2()`), else 1.
+/// Reads per claim unit on this CPU, from `util::CpuVectorIsa()`:
+/// `kAvx512Lanes` with AVX-512, `kAvx2Lanes` with AVX2 only, else 1.
 int SweepGroupWidth();
 
 /// Runs `RunSweeps` for `count` reads of one problem: read k anneals
-/// `spins[k]` with `rngs[k]`. A full group of `kSweepLanes` reads runs in
-/// the lane kernel on an AVX2 CPU; every spin of every read is still
-/// exactly what `RunSweeps` gives for that read alone. The lane kernel
-/// draws each read's uniforms into a buffer ahead of use, so afterwards
-/// `rngs[k]` sits past the draws the read used; callers discard it. Any
-/// other group runs read by read.
+/// `spins[k]` with `rngs[k]`. On an AVX2 CPU the reads run in the lane
+/// kernel, `SweepGroupWidth()` at a time, a last group of fewer reads with
+/// its missing lanes masked off; on any other CPU they run read by read.
+/// `count == 0` does nothing. Every spin of every read is exactly what
+/// `RunSweeps` gives for that read alone. The lane kernel draws each
+/// read's uniforms into a buffer ahead of use, so afterwards `rngs[k]`
+/// sits past the draws the read used; callers discard it.
 void RunSweepGroup(const qubo::IsingView& ising, const Schedule& beta,
                    int sweeps, int count, Rng* rngs,
                    std::vector<int8_t>* spins);
 
-/// The lane kernel itself: `kSweepLanes` reads of `ising` in lockstep,
-/// each lane spin for spin the `RunSweeps` read of its stream (see
-/// `RunSweepGroup`). Precondition: `util::CpuHasAvx2()`. Callers go
-/// through `RunSweepGroup`; tests call it directly.
-void LaneSweeps(const qubo::IsingView& ising, const Schedule& beta,
-                int sweeps, Rng* rngs, std::vector<int8_t>* spins);
+/// The lane kernel itself: `count` reads of `ising` in lockstep, 1 <=
+/// count <= width, in a vector of `width` lanes, each lane spin for spin
+/// the `RunSweeps` read of its stream (see `RunSweepGroup`).
+/// Precondition: `util::CpuVectorIsa()` is at least AVX2 for `width ==
+/// kAvx2Lanes`, and AVX-512 for `kAvx512Lanes`. Callers go
+/// through `RunSweepGroup`; tests call it directly at every width.
+void LaneSweeps(int width, const qubo::IsingView& ising, const Schedule& beta,
+                int sweeps, int count, Rng* rngs,
+                std::vector<int8_t>* spins);
 
 }  // namespace anneal
 }  // namespace qmqo

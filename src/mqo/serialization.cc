@@ -1,8 +1,9 @@
 #include "mqo/serialization.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "util/string_util.h"
 
@@ -40,15 +41,21 @@ Result<MqoProblem> FromText(const std::string& text) {
         StrFormat("oversized payload: %zu bytes (limit %zu)", text.size(),
                   kMaxPayloadBytes));
   }
-  std::istringstream in(text);
-  std::string line;
   bool saw_header = false;
   bool saw_end = false;
   MqoProblem problem;
   int line_no = 0;
-  while (std::getline(in, line)) {
+  std::vector<std::string_view> fields;
+  // Lines as std::getline yields them: split at '\n', and a last line
+  // without one counts unless it is empty.
+  std::string_view rest(text);
+  while (!rest.empty()) {
+    const size_t eol = rest.find('\n');
+    std::string_view line = rest.substr(0, eol);
+    rest = eol == std::string_view::npos ? std::string_view()
+                                         : rest.substr(eol + 1);
     ++line_no;
-    line = Trim(line);
+    line = TrimView(line);
     if (line.empty() || line[0] == '#') continue;
     if (!saw_header) {
       if (line != "mqo v1") {
@@ -62,8 +69,7 @@ Result<MqoProblem> FromText(const std::string& text) {
       saw_end = true;
       break;
     }
-    std::vector<std::string> fields = Split(line, ' ');
-    if (fields.empty()) continue;
+    SplitView(line, ' ', &fields);
     if (fields[0] == "query") {
       std::vector<double> costs;
       for (size_t i = 1; i < fields.size(); ++i) {
@@ -71,7 +77,8 @@ Result<MqoProblem> FromText(const std::string& text) {
         double v = 0.0;
         if (!ParseFiniteDouble(fields[i], &v)) {
           return Status::InvalidArgument(
-              StrFormat("line %d: bad cost '%s'", line_no, fields[i].c_str()));
+              StrFormat("line %d: bad cost '%s'", line_no,
+                        std::string(fields[i]).c_str()));
         }
         costs.push_back(v);
       }
@@ -91,7 +98,7 @@ Result<MqoProblem> FromText(const std::string& text) {
       if (!ParseInt(fields[1], &a) || !ParseInt(fields[2], &b) ||
           !ParseFiniteDouble(fields[3], &v)) {
         return Status::InvalidArgument(StrFormat(
-            "line %d: bad saving '%s'", line_no, line.c_str()));
+            "line %d: bad saving '%s'", line_no, std::string(line).c_str()));
       }
       Status s = problem.AddSaving(a, b, v);
       if (!s.ok()) {
@@ -101,7 +108,7 @@ Result<MqoProblem> FromText(const std::string& text) {
     } else {
       return Status::InvalidArgument(
           StrFormat("line %d: unknown directive '%s'", line_no,
-                    fields[0].c_str()));
+                    std::string(fields[0]).c_str()));
     }
   }
   if (!saw_header) return Status::InvalidArgument("missing 'mqo v1' header");

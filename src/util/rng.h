@@ -20,11 +20,13 @@ namespace qmqo {
 
 /// 64-bit Mersenne Twister (Matsumoto & Nishimura). Emits exactly the
 /// stream of the standard library's MT19937-64 engine for the same seed —
-/// same seeding recurrence, twist, and tempering — but the twist is
-/// branch-free so the compiler vectorizes it, and tempering runs per draw
-/// so the state stays 312 words. Satisfies UniformRandomBitGenerator, so
-/// std distributions accept it and see the same values they would from
-/// the standard engine.
+/// same seeding recurrence, twist, and tempering. The twist regenerates
+/// all 312 state words at a time, and `FillUnitUniform` tempers and
+/// converts a whole block of them; both run eight words per vector
+/// register on an AVX-512 CPU and four on an AVX2 CPU (util/cpu.h), else
+/// the compiler vectorizes the scalar twist. The per-call path tempers one
+/// word per draw, so the state stays 312 words. Satisfies UniformRandomBitGenerator, so std distributions
+/// accept it and see the same values they would from the standard engine.
 class Mt19937_64 {
  public:
   using result_type = uint64_t;
@@ -42,19 +44,27 @@ class Mt19937_64 {
   /// Writes the next `count` draws, each mapped by `UnitUniform` (below),
   /// to `out`: exactly what `count` calls of `Rng::UniformReal(0, 1)`
   /// would return, value for value, and the engine ends in the same state.
-  /// Tempering and conversion run over a whole block of state words at a
-  /// time, with no per-draw twist check.
+  /// Runs `TemperUnitUniform` over each block of state words up to the
+  /// next twist, with no per-draw twist check.
   void FillUnitUniform(double* out, size_t count);
 
- private:
-  static constexpr size_t kStateWords = 312;
+  /// Writes `UnitUniform(Temper(words[k]))` to `out[k]` for k < count: the
+  /// tempering and conversion `FillUnitUniform` runs on a block of state
+  /// words, eight or four words per vector on an AVX-512 or AVX2 CPU, with
+  /// the same values.
+  static void TemperUnitUniform(const uint64_t* words, size_t count,
+                                double* out);
 
+  /// MT19937-64's output tempering of one state word.
   static uint64_t Temper(uint64_t z) {
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;
     z ^= (z << 37) & 0xfff7eee000000000ULL;
     return z ^ (z >> 43);
   }
+
+ private:
+  static constexpr size_t kStateWords = 312;
 
   /// Regenerates all 312 state words and rewinds the read index.
   void Twist();
@@ -118,10 +128,11 @@ class Rng {
     return UnitUniform(engine_()) < p;
   }
 
-  /// Returns a normally distributed double.
-  double Gaussian(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
+  /// Returns a normally distributed double: the value a fresh
+  /// `std::normal_distribution<double>(mean, stddev)` draws (libstdc++'s
+  /// polar method, operation for operation), with no multiply-add fused
+  /// on any build, so an FMA build gives the same values.
+  double Gaussian(double mean, double stddev);
 
   /// Uniformly shuffles `values` in place.
   template <typename T>

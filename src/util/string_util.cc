@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 namespace qmqo {
@@ -37,21 +38,26 @@ std::string Join(const std::vector<std::string>& parts,
 }
 
 std::vector<std::string> Split(const std::string& s, char delim) {
-  std::vector<std::string> out;
-  std::string current;
-  for (char c : s) {
-    if (c == delim) {
-      out.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  out.push_back(current);
-  return out;
+  std::vector<std::string_view> fields;
+  SplitView(s, delim, &fields);
+  return std::vector<std::string>(fields.begin(), fields.end());
 }
 
-std::string Trim(const std::string& s) {
+void SplitView(std::string_view s, char delim,
+               std::vector<std::string_view>* fields) {
+  fields->clear();
+  size_t start = 0;
+  for (size_t at = s.find(delim); at != std::string_view::npos;
+       at = s.find(delim, start)) {
+    fields->push_back(s.substr(start, at - start));
+    start = at + 1;
+  }
+  fields->push_back(s.substr(start));
+}
+
+std::string Trim(const std::string& s) { return std::string(TrimView(s)); }
+
+std::string_view TrimView(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();
   while (begin < end && std::isspace(static_cast<unsigned char>(s[begin]))) {
@@ -99,12 +105,32 @@ std::string EscapeJson(const std::string& s) {
   return out;
 }
 
-bool ParseInt(const std::string& s, int* out) {
+namespace {
+
+/// `s` NUL-terminated for strtol/strtod: copied into `small` when it fits
+/// (every field of a real payload), else into `*large`.
+const char* Terminated(std::string_view s, char (&small)[64],
+                       std::string* large) {
+  if (s.size() < sizeof(small)) {
+    std::memcpy(small, s.data(), s.size());
+    small[s.size()] = '\0';
+    return small;
+  }
+  large->assign(s);
+  return large->c_str();
+}
+
+}  // namespace
+
+bool ParseInt(std::string_view s, int* out) {
   if (s.empty()) return false;
+  char small[64];
+  std::string large;
+  const char* str = Terminated(s, small, &large);
   errno = 0;
   char* end = nullptr;
-  long v = std::strtol(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
+  long v = std::strtol(str, &end, 10);
+  if (end == str || *end != '\0' || errno == ERANGE) return false;
   if (v < static_cast<long>(std::numeric_limits<int>::min()) ||
       v > static_cast<long>(std::numeric_limits<int>::max())) {
     return false;
@@ -113,12 +139,15 @@ bool ParseInt(const std::string& s, int* out) {
   return true;
 }
 
-bool ParseFiniteDouble(const std::string& s, double* out) {
+bool ParseFiniteDouble(std::string_view s, double* out) {
   if (s.empty()) return false;
+  char small[64];
+  std::string large;
+  const char* str = Terminated(s, small, &large);
   errno = 0;
   char* end = nullptr;
-  double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0' || errno == ERANGE) return false;
+  double v = std::strtod(str, &end);
+  if (end == str || *end != '\0' || errno == ERANGE) return false;
   if (!std::isfinite(v)) return false;
   *out = v;
   return true;

@@ -5,6 +5,7 @@
 /// Small string helpers shared by serialization and reporting code.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qmqo {
@@ -19,8 +20,16 @@ std::string Join(const std::vector<std::string>& parts, const std::string& sep);
 /// Splits `s` on `delim`, keeping empty fields.
 std::vector<std::string> Split(const std::string& s, char delim);
 
+/// `Split` into views of `s`, written to `*fields` (cleared first), so a
+/// parser that reuses the vector allocates nothing per line.
+void SplitView(std::string_view s, char delim,
+               std::vector<std::string_view>* fields);
+
 /// Strips leading and trailing ASCII whitespace.
 std::string Trim(const std::string& s);
+
+/// `Trim` as a view of `s`.
+std::string_view TrimView(std::string_view s);
 
 /// True when `s` begins with `prefix`.
 bool StartsWith(const std::string& s, const std::string& prefix);
@@ -38,13 +47,13 @@ std::string EscapeJson(const std::string& s);
 /// `atoi`, which silently returns 0 on garbage and has undefined behavior
 /// on overflow. Deserializers use this so hostile payloads become typed
 /// parse errors, never wrong values.
-bool ParseInt(const std::string& s, int* out);
+bool ParseInt(std::string_view s, int* out);
 
 /// Parses a whole finite double into `*out`. False when `s` is empty, has
 /// trailing garbage, overflows, or encodes NaN/infinity — non-finite
 /// values poison cost arithmetic downstream (NaN slips through every
 /// `< 0` validation), so wire parsers reject them at the boundary.
-bool ParseFiniteDouble(const std::string& s, double* out);
+bool ParseFiniteDouble(std::string_view s, double* out);
 
 }  // namespace qmqo
 

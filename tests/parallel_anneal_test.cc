@@ -22,6 +22,7 @@
 #include "anneal/sample_set.h"
 #include "anneal/simulated_annealer.h"
 #include "anneal/sqa.h"
+#include "anneal/sweep_kernel.h"
 #include "qubo/qubo.h"
 #include "util/executor.h"
 #include "util/fault.h"
@@ -88,16 +89,24 @@ TEST(RunReadsTest, PartitionsEveryReadExactlyOnce) {
 }
 
 TEST(RunReadsTest, SplitReadGroupsKeepsGroupsInsideSegments) {
-  // Gauges of 4, 5, 10 and 3 reads at width 4: full groups never cross a
-  // gauge, and each gauge's tail becomes single reads.
+  // Gauges of 4, 5, 10 and 3 reads at width 4: groups never cross a
+  // gauge, and each gauge's tail is one smaller group.
   const std::vector<ReadGroup> groups = SplitReadGroups({4, 5, 10, 3}, 4);
   const std::vector<std::pair<int, int>> expected = {
-      {0, 4},  {4, 4},  {8, 1},  {9, 4},  {13, 4},
-      {17, 1}, {18, 1}, {19, 1}, {20, 1}, {21, 1}};
+      {0, 4}, {4, 4}, {8, 1}, {9, 4}, {13, 4}, {17, 2}, {19, 3}};
   ASSERT_EQ(groups.size(), expected.size());
   for (size_t k = 0; k < groups.size(); ++k) {
     EXPECT_EQ(groups[k].first, expected[k].first) << "group " << k;
     EXPECT_EQ(groups[k].count, expected[k].second) << "group " << k;
+  }
+  // Width 8: a 10-read gauge splits as 8 + 2.
+  const std::vector<ReadGroup> wide = SplitReadGroups({10, 8, 1}, 8);
+  const std::vector<std::pair<int, int>> expected_wide = {
+      {0, 8}, {8, 2}, {10, 8}, {18, 1}};
+  ASSERT_EQ(wide.size(), expected_wide.size());
+  for (size_t k = 0; k < wide.size(); ++k) {
+    EXPECT_EQ(wide[k].first, expected_wide[k].first) << "group " << k;
+    EXPECT_EQ(wide[k].count, expected_wide[k].second) << "group " << k;
   }
   // Width 1 is one read per unit.
   const std::vector<ReadGroup> singles = SplitReadGroups({3, 2}, 1);
@@ -108,6 +117,41 @@ TEST(RunReadsTest, SplitReadGroupsKeepsGroupsInsideSegments) {
   }
   EXPECT_TRUE(SplitReadGroups({}, 4).empty());
   EXPECT_TRUE(SplitReadGroups({0}, 4).empty());
+}
+
+TEST(DeviceReadGroupTest, GroupWithEveryReadDroppedLeavesOtherReadsAsIs) {
+  // Dropout takes the call's first SweepGroupWidth() reads: the first
+  // claim unit has no read left to anneal, and every surviving read must
+  // still be the clean call's read, at any thread count.
+  const int width = SweepGroupWidth();
+  Rng rng(61);
+  qubo::QuboProblem problem = RandomQubo(14, 0.4, &rng);
+  DWaveOptions options;
+  options.num_reads = 3 * width + 2;
+  options.num_gauges = 1;
+  options.sa_sweeps = 24;
+  options.seed = 9;
+  options.record_reads = true;
+  const Result<DeviceResult> clean = DWaveSimulator(options).Sample(problem);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  util::FaultInjector faults(1);
+  util::FaultSpec dropout;
+  dropout.fail_first = width;  // read keys of epoch 0 are the read indices
+  faults.Arm("device.read_dropout", dropout);
+  options.faults = &faults;
+  for (int threads : {1, 4}) {
+    options.num_threads = threads;
+    const Result<DeviceResult> thinned =
+        DWaveSimulator(options).Sample(problem);
+    ASSERT_TRUE(thinned.ok()) << thinned.status().ToString();
+    EXPECT_EQ(thinned->dropped_reads, width);
+    EXPECT_EQ(thinned->samples.total_reads(), options.num_reads - width);
+    ASSERT_EQ(thinned->raw_reads.size(), clean->raw_reads.size() - width);
+    for (int k = 0; k < thinned->raw_reads.size(); ++k) {
+      EXPECT_TRUE(thinned->raw_reads[k] == clean->raw_reads[k + width])
+          << threads << " threads, surviving read " << k;
+    }
+  }
 }
 
 TEST(RunReadsTest, ZeroReadsYieldsEmptyFinalizedSet) {

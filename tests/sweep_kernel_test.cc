@@ -1,7 +1,7 @@
 // Tests for the sweep layer: the screened exact Metropolis test, the
 // frozen SA and SQA streams against naive reference loops, the
-// initialization stream, and the AVX2 lanes against the scalar loop, spin
-// for spin.
+// initialization stream, and the AVX2 and AVX-512 lanes against the
+// scalar loop, spin for spin, for full and partial groups.
 
 #include <gtest/gtest.h>
 
@@ -360,7 +360,7 @@ TEST(SqaTest, FindsGroundStateOfSmallProblem) {
 }
 
 // --------------------------------------------------------------------
-// The lane kernel: kSweepLanes reads in lockstep, each equal to RunSweeps
+// The lane kernel: up to W reads in lockstep, each equal to RunSweeps
 // --------------------------------------------------------------------
 
 /// A problem given as raw arrays, so fields and weights keep exactly the
@@ -460,51 +460,78 @@ qubo::IsingProblem GaugedPaperProblem() {
   return GaugeTransform::Random(ising.num_spins(), &rng).Apply(ising);
 }
 
-class LaneSweepsTest : public ::testing::Test {
+TEST(SweepGroupWidthTest, IsTheWidestLaneWidthThisCpuSupports) {
+  // A CPU with the vector extension must get its lanes: a dispatch that
+  // always fell back would pass every lane comparison below through the
+  // scalar loop without testing the lanes.
+#ifdef QMQO_AVX2_PATHS
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("avx512f")) {
+    EXPECT_EQ(SweepGroupWidth(), kAvx512Lanes);
+  } else if (__builtin_cpu_supports("avx2")) {
+    EXPECT_EQ(SweepGroupWidth(), kAvx2Lanes);
+  } else {
+    EXPECT_EQ(SweepGroupWidth(), 1);
+  }
+#else
+  EXPECT_EQ(SweepGroupWidth(), 1);
+#endif
+}
+
+/// The lane kernel at one width (the test parameter), for groups of 1..W
+/// reads; skipped, with the reason, on a CPU that lacks the width's
+/// vector extension.
+class LaneSweepsTest : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    if (!__builtin_cpu_supports("avx2")) {
-      GTEST_SKIP() << "this CPU lacks AVX2, so the lane kernel never runs "
-                      "(every read takes the scalar loop)";
+    width_ = GetParam();
+#ifdef QMQO_AVX2_PATHS
+    const bool wide = width_ == kAvx512Lanes;
+    const bool supported = wide ? __builtin_cpu_supports("avx512f") != 0
+                                : __builtin_cpu_supports("avx2") != 0;
+    if (!supported) {
+      GTEST_SKIP() << "this CPU lacks " << (wide ? "AVX-512F" : "AVX2")
+                   << ", so the " << width_
+                   << "-lane kernel never runs here; only the narrower "
+                      "widths are tested";
     }
-    // An AVX2 CPU must get the lanes: a dispatch that always fell back
-    // would pass every comparison below without testing anything.
-    ASSERT_TRUE(util::CpuHasAvx2());
-    ASSERT_EQ(SweepGroupWidth(), kSweepLanes);
+    ASSERT_GE(SweepGroupWidth(), width_);
 #else
-    GTEST_SKIP() << "the AVX2 lane kernel is built for x86-64 only";
+    GTEST_SKIP() << "the lane kernels are built for x86-64 only";
 #endif
   }
 
-  /// Reads seeded `seed`..`seed + 3` through `LaneSweeps`, and one by one
-  /// through `RunSweeps`: every lane must equal its scalar read
-  /// spin for spin.
-  static void ExpectLanesEqualScalar(const qubo::IsingView& ising,
-                                     const Schedule& beta, int sweeps,
-                                     uint64_t seed, const std::string& label) {
+  /// `count` reads seeded `seed`, `seed + 1`, ... through the lane kernel
+  /// at this width, and one by one through `RunSweeps`: every lane must
+  /// equal its scalar read spin for spin.
+  void ExpectLanesEqualScalar(const qubo::IsingView& ising,
+                              const Schedule& beta, int sweeps, int count,
+                              uint64_t seed, const std::string& label) const {
     std::vector<Rng> lane_rngs;
     std::vector<Rng> scalar_rngs;
     std::vector<std::vector<int8_t>> lane_spins;
-    for (int k = 0; k < kSweepLanes; ++k) {
+    for (int k = 0; k < count; ++k) {
       lane_rngs.emplace_back(seed + static_cast<uint64_t>(k));
       lane_spins.emplace_back(static_cast<size_t>(ising.num_spins()));
       RandomSpins(&lane_rngs.back(), &lane_spins.back());
       scalar_rngs.push_back(lane_rngs.back());
     }
     std::vector<std::vector<int8_t>> scalar_spins = lane_spins;
-    LaneSweeps(ising, beta, sweeps, lane_rngs.data(), lane_spins.data());
-    for (int k = 0; k < kSweepLanes; ++k) {
+    LaneSweeps(width_, ising, beta, sweeps, count, lane_rngs.data(),
+               lane_spins.data());
+    for (int k = 0; k < count; ++k) {
       RunSweeps(ising, beta, sweeps, &scalar_rngs[static_cast<size_t>(k)],
                 &scalar_spins[static_cast<size_t>(k)]);
       EXPECT_EQ(lane_spins[static_cast<size_t>(k)],
                 scalar_spins[static_cast<size_t>(k)])
-          << label << ", seed " << seed << ", lane " << k;
+          << label << ", width " << width_ << ", " << count
+          << " reads, seed " << seed << ", lane " << k;
     }
   }
+
+  int width_ = 0;
 };
 
-TEST_F(LaneSweepsTest, GaugedPaperProblemAndGlassEqualScalar) {
+TEST_P(LaneSweepsTest, GaugedPaperProblemAndGlassEqualScalar) {
   Rng build_rng(71);
   qubo::IsingProblem paper = GaugedPaperProblem();
   qubo::IsingProblem glass = ChimeraGlass(8, 8, &build_rng);
@@ -514,14 +541,19 @@ TEST_F(LaneSweepsTest, GaugedPaperProblemAndGlassEqualScalar) {
     const qubo::IsingView view(*ising);
     auto [hot, cold] = SuggestBetaRange(view);
     const Schedule beta{hot, cold, ScheduleShape::kGeometric};
-    for (uint64_t seed = 1; seed <= 6; ++seed) {
-      ExpectLanesEqualScalar(view, beta, 96, seed * 1000,
-                             std::to_string(ising->num_spins()) + " spins");
+    const std::string label = std::to_string(ising->num_spins()) + " spins";
+    // Full groups over several seeds, then every partial group once.
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      ExpectLanesEqualScalar(view, beta, 96, width_, seed * 1000, label);
+    }
+    for (int count = 1; count < width_; ++count) {
+      ExpectLanesEqualScalar(view, beta, 96, count,
+                             7000 + static_cast<uint64_t>(count), label);
     }
   }
 }
 
-TEST_F(LaneSweepsTest, SignedZerosInfAndNanEqualScalar) {
+TEST_P(LaneSweepsTest, SignedZerosInfAndNanEqualScalar) {
   Rng rng(73);
   const double kInf = std::numeric_limits<double>::infinity();
   const double kNan = std::numeric_limits<double>::quiet_NaN();
@@ -558,25 +590,34 @@ TEST_F(LaneSweepsTest, SignedZerosInfAndNanEqualScalar) {
   cases.push_back({"one zero-field spin", MakeRaw({-0.0}, {})});
   for (const auto& [label, raw] : cases) {
     for (int sweeps : {0, 1, 2, 40}) {
-      for (uint64_t seed = 1; seed <= 4; ++seed) {
-        ExpectLanesEqualScalar(raw.view(), beta, sweeps, seed,
-                               label + ", " + std::to_string(sweeps) +
-                                   " sweeps");
+      for (int count = 1; count <= width_; ++count) {
+        for (uint64_t seed = 1; seed <= 2; ++seed) {
+          ExpectLanesEqualScalar(raw.view(), beta, sweeps, count,
+                                 seed * 100 + static_cast<uint64_t>(count),
+                                 label + ", " + std::to_string(sweeps) +
+                                     " sweeps");
+        }
       }
     }
   }
 }
 
-TEST_F(LaneSweepsTest, RunSweepGroupRunsTailsAndFullGroupsLikeScalar) {
-  // Through the dispatch: a full group takes the lanes, a tail of three
-  // runs read by read (and so leaves each stream exactly where the scalar
-  // loop does).
+INSTANTIATE_TEST_SUITE_P(Widths, LaneSweepsTest,
+                         ::testing::Values(kAvx2Lanes, kAvx512Lanes),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return std::to_string(info.param) + "Lanes";
+                         });
+
+TEST(RunSweepGroupTest, SplitsIntoMaskedGroupsLikeScalar) {
+  // Through the dispatch, at this CPU's width: full groups, a partial
+  // last group, and counts above one group all equal the scalar loop.
   Rng build_rng(79);
   qubo::IsingProblem glass = ChimeraGlass(4, 4, &build_rng);
   const qubo::IsingView view(glass);
   auto [hot, cold] = SuggestBetaRange(view);
   const Schedule beta{hot, cold, ScheduleShape::kGeometric};
-  for (int count : {1, 3, kSweepLanes}) {
+  const int width = SweepGroupWidth();
+  for (int count : {1, 3, width, width + 3, 2 * width}) {
     std::vector<Rng> group_rngs;
     std::vector<std::vector<int8_t>> group_spins;
     for (int k = 0; k < count; ++k) {
@@ -593,12 +634,18 @@ TEST_F(LaneSweepsTest, RunSweepGroupRunsTailsAndFullGroupsLikeScalar) {
       RunSweeps(view, beta, 32, &scalar_rngs[slot], &scalar_spins[slot]);
       EXPECT_EQ(group_spins[slot], scalar_spins[slot])
           << "group of " << count << ", read " << k;
-      if (count < kSweepLanes) {
-        EXPECT_EQ(group_rngs[slot].Next(), scalar_rngs[slot].Next())
-            << "tail read " << k << " left its stream elsewhere";
-      }
     }
   }
+}
+
+TEST(RunSweepGroupTest, EmptyGroupRunsNothing) {
+  // A group whose reads were all dropped skips the kernel: the problem
+  // has no arrays behind it, and no stream or spin vector exists, so any
+  // work on them would crash.
+  const qubo::IsingView absent(
+      qubo::CsrView(1000, nullptr, nullptr, nullptr), nullptr);
+  RunSweepGroup(absent, Schedule{0.1, 3.0, ScheduleShape::kGeometric}, 8, 0,
+                nullptr, nullptr);
 }
 
 }  // namespace

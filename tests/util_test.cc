@@ -313,6 +313,102 @@ TEST(UnitUniformTest, EdgeValuesMatchGenerateCanonical) {
   EXPECT_EQ(UnitUniform(~uint64_t{0}), std::nextafter(1.0, 0.0));
 }
 
+// The uniform fill against the standard library directly, not against
+// the per-call path (both share the vector twist): `FillUnitUniform` must
+// give `generate_canonical<double, 53>` on a twin `std::mt19937_64`,
+// value for value, for fills that cross the 312-word twist boundary and
+// start mid-block, and leave the engine where the twin stands.
+TEST(FillUnitUniformTest, MatchesStdEngineAndGenerateCanonical) {
+  for (uint64_t seed : kParitySeeds) {
+    for (int skip : {0, 1, 3, 100, 311, 312, 313}) {
+      for (size_t count : {0u, 1u, 3u, 4u, 5u, 311u, 312u, 313u, 624u, 1001u}) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 reference(seed);
+        for (int k = 0; k < skip; ++k) ASSERT_EQ(ours(), reference());
+        std::vector<double> out(count + 1, -1.0);
+        ours.FillUnitUniform(out.data(), count);
+        for (size_t k = 0; k < count; ++k) {
+          const double expected =
+              std::generate_canonical<double, 53>(reference);
+          ASSERT_EQ(std::memcmp(&out[k], &expected, sizeof(double)), 0)
+              << "seed " << seed << ", skip " << skip << ", count " << count
+              << ", value " << k;
+        }
+        EXPECT_EQ(out[count], -1.0) << "wrote past count " << count;
+        EXPECT_EQ(ours(), reference())
+            << "seed " << seed << ", skip " << skip << ", count " << count;
+      }
+    }
+  }
+}
+
+TEST(FillUnitUniformTest, InterleavedFillsAndDrawsFollowStdEngine) {
+  // Odd-sized fills and single draws in turn walk every offset of the
+  // 312-word block over a few thousand values.
+  Mt19937_64 ours(2024);
+  std::mt19937_64 reference(2024);
+  std::vector<double> out(64);
+  for (int round = 0; round < 200; ++round) {
+    const size_t count = static_cast<size_t>(round * 7 % 61);
+    ours.FillUnitUniform(out.data(), count);
+    for (size_t k = 0; k < count; ++k) {
+      const double expected = std::generate_canonical<double, 53>(reference);
+      ASSERT_EQ(out[k], expected) << "round " << round << ", value " << k;
+    }
+    ASSERT_EQ(ours(), reference()) << "round " << round;
+  }
+}
+
+/// Inverse of `Mt19937_64::Temper`: the state word that tempers to `y`.
+uint64_t Untemper(uint64_t y) {
+  y ^= y >> 43;
+  y ^= (y << 37) & 0xfff7eee000000000ULL;
+  uint64_t x = y;  // each pass fixes 17 more low bits
+  for (int pass = 0; pass < 4; ++pass) {
+    x = y ^ ((x << 17) & 0x71d67fffeda60000ULL);
+  }
+  y = x;  // each pass fixes 29 more high bits
+  for (int pass = 0; pass < 3; ++pass) {
+    x = y ^ ((x >> 29) & 0x5555555555555555ULL);
+  }
+  return x;
+}
+
+TEST(FillUnitUniformTest, ConversionOfEdgeWordsMatchesGenerateCanonical) {
+  // Tempered words at the conversion's edges, placed at every offset of a
+  // 9-word block so each passes through every vector lane and the scalar
+  // tail: TemperUnitUniform is the step FillUnitUniform runs per block.
+  const uint64_t edges[] = {
+      0,
+      1,
+      0xffffffffULL,             // 2^32 - 1: all of the low half
+      0x100000000ULL,            // 2^32: the low bit of the high half
+      ~uint64_t{0},              // 2^64 - 1: rounds to 1, clamped
+      0xfffffffffffffc00ULL,     // tie that rounds up to 1: clamped
+      0xfffffffffffffbffULL,     // rounds down to 1 - 2^-53
+      0xfffffffffffff800ULL,     // largest input that stays below 1
+      0x8000000000000400ULL,     // tie, even mantissa: rounds down
+      0x8000000000000c00ULL,     // tie, odd mantissa: rounds up
+      (uint64_t{1} << 53) + 1,   // exact: fits in 54 bits, odd low bit
+  };
+  for (uint64_t word : edges) {
+    const uint64_t raw = Untemper(word);
+    ASSERT_EQ(Mt19937_64::Temper(raw), word) << std::hex << word;
+    FixedBits stub{word};
+    const double reference = std::generate_canonical<double, 53>(stub);
+    for (size_t at = 0; at < 9; ++at) {
+      std::vector<uint64_t> block(9, Untemper(0x123456789abcdefULL));
+      block[at] = raw;
+      std::vector<double> out(9);
+      Mt19937_64::TemperUnitUniform(block.data(), block.size(), out.data());
+      EXPECT_EQ(std::memcmp(&out[at], &reference, sizeof(double)), 0)
+          << std::hex << word << std::dec << " at " << at << ": "
+          << out[at] << " vs " << reference;
+    }
+  }
+  EXPECT_EQ(UnitUniform(~uint64_t{0}), std::nextafter(1.0, 0.0));
+}
+
 TEST(RngParityTest, UniformRealMatchesStdDistribution) {
   const double ranges[][2] = {{0.0, 1.0}, {-1.0, 1.0}, {3.5, 1e6}};
   for (uint64_t seed : kParitySeeds) {
@@ -361,6 +457,27 @@ TEST(RngParityTest, UniformIntAndGaussianSequencesArePinned) {
   const double expected_normal[] = {0.28684358710132801, -2.486282911504774,
                                     0.35335870841229944, 0.058011517456307796};
   for (double v : expected_normal) EXPECT_EQ(normal.Gaussian(0.0, 1.0), v);
+}
+
+TEST(RngParityTest, GaussianMatchesStdDistribution) {
+#ifdef __FMA__
+  GTEST_SKIP() << "this build may fuse multiply-adds inside "
+                  "std::normal_distribution, so it is no reference here; "
+                  "the pinned Gaussian values still hold";
+#endif
+  const double params[][2] = {{0.0, 1.0}, {3.5, 0.25}, {-2.0, 10.0}};
+  for (uint64_t seed : kParitySeeds) {
+    for (const auto& param : params) {
+      Rng rng(seed);
+      Mt19937_64 twin(SplitMix64(seed));
+      for (int i = 0; i < 10000; ++i) {
+        const double expected =
+            std::normal_distribution<double>(param[0], param[1])(twin);
+        ASSERT_EQ(rng.Gaussian(param[0], param[1]), expected)
+            << "seed " << seed << ", draw " << i;
+      }
+    }
+  }
 }
 
 TEST(RngTest, ShufflePreservesElements) {
