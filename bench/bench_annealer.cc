@@ -12,6 +12,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -157,11 +158,13 @@ int main() {
 
   // --- The lane kernel alone: one read per lane of a vector of doubles
   // (eight per AVX-512 vector, four per AVX2 vector), on the same glass,
-  // against the same reads run one by one through the scalar loop. The
-  // read count is not a multiple of the width, so the last group runs
-  // with lanes masked off. Report-only (the baseline has no row for it):
-  // the bit-identity tests are its gate, and this row fails the bench only
-  // when a lane's spins differ from its scalar read. ---
+  // against the same reads run one by one through the scalar loop. Every
+  // width this CPU supports runs (8 and 4 on AVX-512), in groups of its
+  // width; the read count is not a multiple of either, so each ends in a
+  // group with lanes masked off. Report-only (the baseline has no row for
+  // them): the bit-identity tests are their gate, and these rows fail the
+  // bench only when a lane's spins differ from its scalar read. The
+  // widest width's row is `sa_lanes`, the narrower one `sa_lanes_avx2`. ---
   const int lane_width = anneal::SweepGroupWidth();
   const std::string lane_path = lane_width == anneal::kAvx512Lanes ? "avx512"
                                 : lane_width == anneal::kAvx2Lanes ? "avx2"
@@ -171,7 +174,9 @@ int main() {
   auto [lane_hot, lane_cold] = anneal::SuggestBetaRange(glass_view);
   const anneal::Schedule lane_beta{lane_hot, lane_cold,
                                    anneal::ScheduleShape::kGeometric};
-  auto run_lane_reads = [&](bool lanes, std::vector<std::vector<int8_t>>* out) {
+  // The reads through lanes of `width` (1: the scalar loop), in ms.
+  auto run_lane_reads = [&](int width,
+                            std::vector<std::vector<int8_t>>* out) {
     std::vector<Rng> rngs;
     out->assign(static_cast<size_t>(lane_reads),
                 std::vector<int8_t>(static_cast<size_t>(n)));
@@ -180,43 +185,49 @@ int main() {
       anneal::RandomSpins(&rngs.back(), &(*out)[static_cast<size_t>(k)]);
     }
     Stopwatch clock;
-    if (lanes) {
-      anneal::RunSweepGroup(glass_view, lane_beta, sa.sweeps_per_read,
-                            lane_reads, rngs.data(), out->data());
-    } else {
-      for (int k = 0; k < lane_reads; ++k) {
+    for (int first = 0; first < lane_reads; first += width) {
+      if (width == 1) {
         anneal::RunSweeps(glass_view, lane_beta, sa.sweeps_per_read,
-                          &rngs[static_cast<size_t>(k)],
-                          &(*out)[static_cast<size_t>(k)]);
+                          &rngs[static_cast<size_t>(first)],
+                          &(*out)[static_cast<size_t>(first)]);
+      } else {
+        anneal::LaneSweeps(width, glass_view, lane_beta, sa.sweeps_per_read,
+                           std::min(width, lane_reads - first),
+                           rngs.data() + first, out->data() + first);
       }
     }
     return clock.ElapsedMillis();
   };
-  std::vector<std::vector<int8_t>> scalar_reads, lane_reads_out;
-  const double scalar_reads_ms = run_lane_reads(false, &scalar_reads);
-  const double lane_reads_ms = run_lane_reads(true, &lane_reads_out);
-  const bool lanes_identical = lane_reads_out == scalar_reads;
-  all_identical &= lanes_identical;
-  const double lane_sweep_spins =
-      static_cast<double>(lane_reads) * sa.sweeps_per_read * n;
-  const double lane_speedup = scalar_reads_ms / lane_reads_ms;
-  {
+  std::vector<std::vector<int8_t>> scalar_reads;
+  const double scalar_reads_ms = run_lane_reads(1, &scalar_reads);
+  double lane_speedup = 1.0;
+  for (int width : {anneal::kAvx512Lanes, anneal::kAvx2Lanes}) {
+    if (width > lane_width) continue;
+    std::vector<std::vector<int8_t>> lane_reads_out;
+    const double lane_reads_ms = run_lane_reads(width, &lane_reads_out);
+    const bool lanes_identical = lane_reads_out == scalar_reads;
+    all_identical &= lanes_identical;
+    const double lane_sweep_spins =
+        static_cast<double>(lane_reads) * sa.sweeps_per_read * n;
+    const double speedup = scalar_reads_ms / lane_reads_ms;
+    if (width == lane_width) lane_speedup = speedup;
+    const char* engine = width == lane_width ? "sa_lanes" : "sa_lanes_avx2";
+    const char* path = width == anneal::kAvx512Lanes ? "avx512" : "avx2";
     bench::JsonObject row;
-    row.Add("engine", "sa_lanes")
-        .Add("kernel", lane_path)
-        .Add("lanes", lane_width)
+    row.Add("engine", engine)
+        .Add("kernel", path)
+        .Add("lanes", width)
         .Add("threads", 1)
         .Add("wall_ms", lane_reads_ms)
         .Add("sweep_spins_per_sec", lane_sweep_spins / (lane_reads_ms / 1000.0))
         .Add("identical_to_serial", lanes_identical);
     rows.Add(row);
+    std::printf(
+        "%-20s threads= 1  wall=%9.1f ms  sweeps*spins/s=%.3e  path=%s x%d  "
+        "%.2fx the scalar loop%s\n",
+        engine, lane_reads_ms, lane_sweep_spins / (lane_reads_ms / 1000.0),
+        path, width, speedup, lanes_identical ? "" : "  MISMATCH");
   }
-  std::printf(
-      "%-20s threads= 1  wall=%9.1f ms  sweeps*spins/s=%.3e  path=%s x%d  "
-      "%.2fx the scalar loop%s\n",
-      "sa_lanes", lane_reads_ms, lane_sweep_spins / (lane_reads_ms / 1000.0),
-      lane_path.c_str(), lane_width, lane_speedup,
-      lanes_identical ? "" : "  MISMATCH");
 
   // --- The uniform stream the lanes draw from: `Rng::FillUniform01` in
   // blocks of 256, as the lane kernel refills a lane. Report-only. ---

@@ -94,6 +94,25 @@ void LaneSweeps(int width, const qubo::IsingView& ising, const Schedule& beta,
   std::abort();  // unreachable: SweepGroupWidth() picks a compiled width
 }
 
+void LaneNegLog(int width, const double* u, int count, double* t) {
+  assert(count % width == 0);
+#ifdef QMQO_AVX2_PATHS
+  if (width == kAvx512Lanes) {
+    NegLogAvx512(u, count, t);
+    return;
+  }
+  if (width == kAvx2Lanes) {
+    NegLogAvx2(u, count, t);
+    return;
+  }
+#else
+  (void)u;
+  (void)count;
+  (void)t;
+#endif
+  std::abort();  // unreachable: only lane widths have a -ln u
+}
+
 void RunSweepGroup(const qubo::IsingView& ising, const Schedule& beta,
                    int sweeps, int count, Rng* rngs,
                    std::vector<int8_t>* spins) {

@@ -20,12 +20,16 @@
 /// `RunSweeps` is the tests' reference and the only path on a CPU without
 /// AVX2.
 ///
-/// The exact Metropolis test is `MetropolisAccept` (below): it decides
-/// exactly `u < std::exp(-β·Δ)`, bit for bit, but a cubic lower bound on
-/// `e^{β·Δ}` rejects most uphill proposals, and a degree-7 lower bound on
-/// `e^{-β·Δ}` accepts most of the rest, before `std::exp` is called. Every
-/// exact site uses it: the scalar loop, the lanes, and the local and global
-/// moves of the SQA step (anneal/sqa.cc).
+/// Every exact site decides `u < std::exp(-β·Δ)`, bit for bit, and calls
+/// `std::exp` only when a cheaper test cannot settle it:
+///  * `MetropolisAccept` (below), in the scalar loop and in the local and
+///    global moves of the SQA step (anneal/sqa.cc): a cubic lower bound on
+///    `e^{β·Δ}` rejects most uphill proposals, and a degree-7 lower bound on
+///    `e^{-β·Δ}` accepts most of the rest;
+///  * `LogDomainAccept` (below), in the lanes: each buffered uniform
+///    carries `t = -ln u` (within `kNegLogError`), and one compare of `β·Δ`
+///    against `t` with a 1e-12 margin each way settles all but at most two
+///    proposals in 10¹².
 
 #include <cmath>
 #include <cstdint>
@@ -100,6 +104,62 @@ inline bool MetropolisAccept(double u, double bd) {
   return u < std::exp(-bd);
 }
 
+/// How far the lanes' buffered `t = -ln u` may lie from the exact value,
+/// for a uniform u in [2⁻⁶⁴, 1) (`NegLogUniforms`, anneal/sweep_lanes.h,
+/// computes t as `-(e·ln2 + 2·s·P(s²))` with `u = 2^e·m`, m in [√½, √2),
+/// `s = (m - 1)/(m + 1)` and `P(z) = Σ_{j<10} z^j/(2j + 1)`, so that
+/// `s·P(s²)` is atanh's series to s¹⁹; ε = 2⁻⁵³):
+///  * `m - 1` is exact (Sterbenz), `m + 1` and the quotient round, so s is
+///    within 2ε relative; P (all terms positive, s² <= 0.0295) is within
+///    1.2ε, and the series' first omitted term, `|s|²¹/21`, is under
+///    5e-18. With the product `2s·P` rounded once, `ln m` (|ln m| <=
+///    0.347) is within 0.347·5ε + 1e-17 < 2.1e-16 absolute.
+///  * `|e| <= 64`, and `ln 2` rounds to within ε/2 (ln 2 < 1), so
+///    `e·ln2` errs by 64·ε/2 = 3.6e-15 before, and at most half an ulp of
+///    a value below 64 (2⁻⁴⁸ = 3.6e-15) after, its product rounds.
+///  * The sum rounds by at most 3.6e-15 more; the negation is exact.
+/// So `|t + ln u| <= 3·3.6e-15 + 2.1e-16 < 1.1e-14`. The bound below adds
+/// headroom; tests/sweep_kernel_test.cc checks a million values against
+/// `-logl(u)` at both lane widths.
+constexpr double kNegLogError = 1.2e-14;
+
+/// The half-width of the band around t in which the lanes' verdict falls
+/// back to `std::exp`: about 80 times `kNegLogError`. See `LogDomainScreen`.
+constexpr double kLogDomainMargin = 1e-12;
+
+/// The lanes' Metropolis screen for an uphill proposal, in the log domain:
+/// `u < exp(-bd)` is `bd < -ln u`. Given t within `kNegLogError` of
+/// `-ln u` (u >= 2⁻⁶⁴, so t < 44.4), returns +1 when the proposal is a
+/// sure accept (`bd < t - kLogDomainMargin`), -1 when it is a sure reject
+/// (`bd > t + kLogDomainMargin`), and 0 when the exact test must decide.
+///
+/// Error analysis (ε = 2⁻⁵³): `t ∓ margin` rounds by at most half an ulp
+/// of a value below 64, 3.6e-15. A sure accept therefore has `bd < -ln u -
+/// 1e-12 + 1.2e-14 + 3.6e-15 < -ln u - 9.8e-13`, so `e^{-bd} > u·e^{9.8e-13}
+/// > u·(1 + 9.8e-13)`, and glibc's `std::exp(-bd)` (within 1 ulp, a
+/// relative 2ε = 2.2e-16 while the result is normal, as it is for bd <
+/// 44.4) is above u: `u < std::exp(-bd)` holds. Symmetrically, a sure
+/// reject has `e^{-bd} < u·(1 - 9.8e-13)`, and `std::exp(-bd)` is below u
+/// (when it is subnormal it is below 2⁻¹⁰²², far under u). So the screen
+/// never disagrees with the exact test; the margin is over 60 times wider
+/// than the errors it covers. NaN in t (the buffer's u = 0) or in bd
+/// fails both compares and returns 0. A uniform falls in the band with
+/// probability `2e-12·e^{-bd}` or less, so `std::exp` is practically
+/// never called.
+inline int LogDomainScreen(double t, double bd) {
+  if (bd < t - kLogDomainMargin) return 1;
+  if (bd > t + kLogDomainMargin) return -1;
+  return 0;
+}
+
+/// The lanes' whole verdict for one uphill proposal, the scalar twin of
+/// the vector code in `LaneKernel`: exactly `u < std::exp(-bd)`, given
+/// `t` within `kNegLogError` of `-ln u` (or NaN).
+inline bool LogDomainAccept(double u, double t, double bd) {
+  const int screen = LogDomainScreen(t, bd);
+  return screen != 0 ? screen > 0 : u < std::exp(-bd);
+}
+
 /// Fills `spins` with uniform random ±1, one `Bernoulli` draw per spin:
 /// the initialization of every SA and SQA read.
 void RandomSpins(Rng* rng, std::vector<int8_t>* spins);
@@ -142,6 +202,11 @@ void RunSweepGroup(const qubo::IsingView& ising, const Schedule& beta,
 void LaneSweeps(int width, const qubo::IsingView& ising, const Schedule& beta,
                 int sweeps, int count, Rng* rngs,
                 std::vector<int8_t>* spins);
+
+/// Writes `-ln u[k]` to `t[k]` for k < count (a multiple of `width`) as
+/// the lane kernel of that width buffers it: within `kNegLogError`, NaN
+/// for u = 0. Same precondition as `LaneSweeps`; for tests.
+void LaneNegLog(int width, const double* u, int count, double* t);
 
 }  // namespace anneal
 }  // namespace qmqo

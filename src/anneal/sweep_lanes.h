@@ -19,14 +19,24 @@
 ///  * every group runs under a live-lane mask: a group of 1..W reads (a
 ///    gauge's tail, or reads thinned by dropout) keeps its missing lanes
 ///    masked off, so they draw nothing and flip nothing;
-///  * the accept decision is a lane mask: `delta <= 0`, or an uphill
-///    proposal settled by `MetropolisAccept`'s two screens, with the rare
-///    unscreened `std::exp` run per lane in scalar code. The uphill test is
-///    `!(delta <= 0)`, so a NaN delta draws and rejects, as in the scalar
-///    loop;
+///  * spins are held as ±1.0 doubles, so `change = -2·spin` and `delta =
+///    change·field` need no convert, and a flip is the masked add `spin +
+///    change`, which is exact (s + (-2s) = -s);
 ///  * each lane keeps its own `Rng` stream and takes a uniform only when
 ///    its proposal is uphill. Uniforms come from a per-lane buffer, refilled
-///    by `Rng::FillUniform01`, with a per-lane cursor;
+///    by `Rng::FillUniform01`, with a per-lane cursor; each refill also
+///    writes `t = -ln u` beside every uniform (`NegLogUniforms`), off the
+///    per-spin chain;
+///  * the accept decision is a lane mask: `delta <= 0`, or an uphill
+///    proposal settled in the log domain as `LogDomainScreen` (in
+///    sweep_kernel.h) settles it: `bd = β·Δ` below `t` less a 1e-12 margin
+///    accepts, above `t` plus it rejects, and only inside that band (or on
+///    NaN) does the exact `u < std::exp(-bd)` run, per lane in scalar
+///    code, on the uniform at the lane's cursor. Every lane's t is
+///    gathered before its delta is known (a cursor always stays inside its
+///    lane's buffer), so the chain per spin is field, delta, bd, compare,
+///    flip. The uphill test is `!(delta <= 0)`, so a NaN delta draws and
+///    rejects, as in the scalar loop;
 ///  * the field update is a masked add of `w * change`: lanes that did not
 ///    flip keep their field (AVX2 adds +0.0 there, which changes a field
 ///    only when it is -0.0, and a zero field gives `delta <= 0` either
@@ -36,8 +46,8 @@
 /// No multiply-add is fused: each instantiating file sets fp-contract off
 /// for the kernel, whatever the build's flags, so the lanes make the
 /// scalar loop's IEEE operations one for one. (The products that feed an
-/// add, `w·(±1)` and `w·(±2)`, are exact anyway, and the screens' margins
-/// cover fused or unfused evaluation.)
+/// add, `w·(±1)` and `w·(±2)`, are exact anyway, and the verdict's margin
+/// covers fused or unfused evaluation of t.)
 ///
 /// A file that instantiates `LaneKernel` includes this header after a
 /// `#pragma GCC target` that enables its lane type's instructions, and
@@ -66,39 +76,72 @@ void LaneSweepsAvx512(const qubo::IsingView& ising, const Schedule& beta,
                       int sweeps, int count, Rng* rngs,
                       std::vector<int8_t>* spins);
 
-/// Uniforms buffered per lane between refills.
+/// `LaneNegLog` at one width: eight or four values per vector, for the
+/// same CPUs as `LaneSweepsAvx512` and `LaneSweepsAvx2`.
+void NegLogAvx2(const double* u, int count, double* t);
+void NegLogAvx512(const double* u, int count, double* t);
+
+/// Uniforms buffered per lane between refills. Each sits beside its
+/// `-ln u` (`NegLogUniforms`), which is what a spin step gathers; the
+/// uniform itself is read only by the rare exact test.
 constexpr int kLaneBufferDraws = 256;
 
-/// Flips lane l of the `W` lane-interleaved int8 spins at `s` for every
-/// bit l set in `flips`: 0x01 ^ 0xFE = 0xFF (-1) and back. Each multiply
-/// spreads four bits of `flips` to bits 0, 8, 16 and 24.
+/// Writes `t[k] = -ln u[k]` for k < count, W values per vector of the GCC/
+/// Clang vector extension, so it compiles to the instructions of the
+/// function it is inlined into. count is a multiple of W; each `u[k]` is 0
+/// or a normal double in (0, 1), as `UnitUniform` gives. u = 0 gives NaN,
+/// which leaves the lanes' verdict to the exact test. Otherwise t is
+/// within `kNegLogError` of -ln u; the derivation is at `kNegLogError`.
+///
+/// Range reduction: u = 2^e·m with m in [√½, √2). Adding the bits of
+/// `1 - √½` to those of u carries into the exponent field exactly when
+/// u's mantissa is at least √2's, so that field, less one's, is e, and
+/// subtracting e from u's exponent field gives m. Then
+/// `-ln u = -(e·ln 2 + 2·atanh(s))` with `s = (m - 1)/(m + 1)`, |s| <=
+/// 0.1716, and atanh by its series to s¹⁹.
 template <int W>
-inline void FlipLaneSpins(int8_t* s, uint32_t flips) {
-  static_assert(W % 4 == 0 && W <= 8, "spins of one spin fit a uint64_t");
-  uint64_t spread = 0;
-  for (int c = 0; c < W; c += 4) {
-    spread |= static_cast<uint64_t>(((flips >> c) & 0xFu) * 0x204081u &
-                                    0x01010101u)
-              << (8 * c);
+__attribute__((always_inline)) inline void NegLogUniforms(const double* u,
+                                                          int count,
+                                                          double* t) {
+  typedef uint64_t Words __attribute__((vector_size(8 * W)));
+  typedef double Doubles __attribute__((vector_size(8 * W)));
+  constexpr uint64_t kOneBits = 0x3FF0000000000000ULL;
+  constexpr uint64_t kSqrtHalfBits = 0x3FE6A09E667F3BCDULL;
+  constexpr uint64_t kExponentField = 0x7FF0000000000000ULL;
+  const Doubles nan = Doubles{} + __builtin_nan("");
+  for (int k = 0; k < count; k += W) {
+    Doubles x;
+    std::memcpy(&x, u + k, sizeof(x));
+    const Words bits = reinterpret_cast<Words>(x);
+    const Words carried = bits + (kOneBits - kSqrtHalfBits);
+    const Doubles m = reinterpret_cast<Doubles>(
+        bits - ((carried & kExponentField) - kOneBits));
+    // The biased exponent, at most 1023, read exactly as 2⁵² + it.
+    const Doubles e = reinterpret_cast<Doubles>((carried >> 52) |
+                                                0x4330000000000000ULL) -
+                      (0x1.0p52 + 1023.0);
+    const Doubles s = (m - 1.0) / (m + 1.0);
+    const Doubles z = s * s;
+    // atanh(s)/s = Σ z^j/(2j + 1), j < 10.
+    Doubles series = Doubles{} + 1.0 / 19;
+    for (int j = 8; j >= 0; --j) series = series * z + 1.0 / (2 * j + 1);
+    const Doubles neg_log = -(e * 0x1.62e42fefa39efp-1 + (s + s) * series);
+    const Doubles out = x == 0.0 ? nan : neg_log;
+    std::memcpy(t + k, &out, sizeof(out));
   }
-  uint64_t word = 0;
-  std::memcpy(&word, s, W);
-  word ^= spread * 0xFEu;
-  std::memcpy(s, &word, W);
 }
 
 /// `LaneSweeps` for `count` (1..W) reads over lane type `L`, which provides:
 ///  * `kWidth` (W) and the types `V` (W doubles), `M` (a mask of W lanes)
 ///    and `I` (W int64 indices);
-///  * on V: `Set1`, aligned `Load`/`Store`, `Add`, `Mul`, `Xor`, and
+///  * on V: `Set1`, aligned `Load`/`Store`, `Add`, `Mul`, and
 ///    `MaskedAdd(f, m, step)` = f + step in the lanes of m, f elsewhere;
-///  * comparisons into M: `Le`, `Lt`, `Ge` (ordered, false on NaN);
+///  * comparisons into M: `Le`, `Lt` (ordered, false on NaN);
 ///  * on M: `And`, `Or`, `AndNot(a, b)` = ~a & b, `Bits` (lane l to bit l)
 ///    and `FromBits`;
-///  * `LoadSpins(s)`: the W int8 spins at `s` as ±1.0;
-///  * `Gather(base, index, m)`: base[index] in the lanes of m, 0 elsewhere;
-///    `Advance(index, m)`: index + 1 in the lanes of m; `AnyEqual`, and
-///    aligned `LoadI`/`StoreI`.
+///  * `Gather(base, index)`: base[index] in every lane; `Advance(index,
+///    m)`: index + 1 in the lanes of m; `AnyEqual`, and aligned
+///    `LoadI`/`StoreI`.
 template <typename L>
 void LaneKernel(const qubo::IsingView& ising, const Schedule& beta,
                 int sweeps, int count, Rng* rngs,
@@ -116,37 +159,44 @@ void LaneKernel(const qubo::IsingView& ising, const Schedule& beta,
   // Lane-interleaved state: entry W·i + l is spin (or local field) i of
   // lane l's read. One allocation holds the fields, then each lane's
   // uniform buffer (lane l draws from buffer[l * kLaneBufferDraws + k]),
-  // then the ±1 spins as int8. One block per call, not three: separate
-  // blocks fragmented the workers' heaps and raised peak RSS measurably.
+  // then their -ln u at the same offsets in `neg_log`, then the spins as
+  // ±1.0. One block per call, not several: separate blocks fragmented the
+  // workers' heaps and raised peak RSS measurably.
   const size_t cells = static_cast<size_t>(n) * W;
   const size_t buffer_cells = static_cast<size_t>(W) * kLaneBufferDraws;
-  const size_t spin_cells = (cells + sizeof(double) - 1) / sizeof(double);
   // Seven doubles of slack let `field` start on a 64-byte boundary, so a
-  // spin's W fields never straddle a cache line.
-  std::vector<double> store(cells + buffer_cells + spin_cells + 7);
+  // spin's W fields (and W spins) never straddle a cache line.
+  std::vector<double> store(2 * cells + 2 * buffer_cells + 7);
   double* field = reinterpret_cast<double*>(
       (reinterpret_cast<uintptr_t>(store.data()) + 63) & ~uintptr_t{63});
   double* buffer = field + cells;
-  int8_t* s = reinterpret_cast<int8_t*>(buffer + buffer_cells);
+  double* neg_log = buffer + buffer_cells;
+  double* s = neg_log + buffer_cells;
   // Masked-off lanes hold +1 spins; they never flip.
   for (int i = 0; i < n; ++i) {
     for (int l = 0; l < W; ++l) {
-      s[W * i + l] = l < count ? spins[l][static_cast<size_t>(i)] : int8_t{1};
+      s[W * i + l] = l < count ? spins[l][static_cast<size_t>(i)] : 1.0;
     }
   }
   // Each lane's fields in the scalar loop's summation order.
   for (int i = 0; i < n; ++i) {
     V f = L::Set1(h[i]);
     for (int32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-      f = L::Add(f, L::Mul(L::Set1(weights[e]), L::LoadSpins(s + W * ids[e])));
+      f = L::Add(f, L::Mul(L::Set1(weights[e]), L::Load(s + W * ids[e])));
     }
     L::Store(field + W * i, f);
   }
 
-  for (int l = 0; l < count; ++l) {
-    rngs[l].FillUniform01(buffer + l * kLaneBufferDraws, kLaneBufferDraws);
-  }
+  auto refill = [&](int l) {
+    double* draws = buffer + l * kLaneBufferDraws;
+    rngs[l].FillUniform01(draws, kLaneBufferDraws);
+    NegLogUniforms<W>(draws, kLaneBufferDraws, neg_log + l * kLaneBufferDraws);
+  };
+  for (int l = 0; l < count; ++l) refill(l);
   // Each lane's absolute cursor into `buffer`, and where its part ends.
+  // A cursor always points inside its lane's part (a lane that was never
+  // filled reads the zeros `store` starts with), so the gather below
+  // needs no mask.
   alignas(64) int64_t cursor[W];
   for (int l = 0; l < W; ++l) cursor[l] = int64_t{l + 1} * kLaneBufferDraws;
   const I buffer_end = L::LoadI(cursor);
@@ -155,90 +205,71 @@ void LaneKernel(const qubo::IsingView& ising, const Schedule& beta,
 
   const M live = L::FromBits((1u << count) - 1);
   const V zero = L::Set1(0.0);
-  const V sign = L::Set1(-0.0);  // for y = -bd
   const V minus_two = L::Set1(-2.0);
-  const V one = L::Set1(1.0);
-  const V half = L::Set1(0.5);
-  const V sixth = L::Set1(1.0 / 6.0);
-  const V reject_margin = L::Set1(1.0 + 1e-12);
-  const V accept_margin = L::Set1(1.0 - 1e-12);
-  const V two = L::Set1(2.0);
-  // L7's coefficients 1/k!, k = 4..7 (1/2 and 1/6 are above).
-  const V c4 = L::Set1(1.0 / 24);
-  const V c5 = L::Set1(1.0 / 120);
-  const V c6 = L::Set1(1.0 / 720);
-  const V c7 = L::Set1(1.0 / 5040);
-  alignas(64) double lane_u[W];
+  const V margin = L::Set1(kLogDomainMargin);
+  const V minus_margin = L::Set1(-kLogDomainMargin);
   alignas(64) double lane_bd[W];
 
   for (int sweep = 0; sweep < sweeps; ++sweep) {
     const V b = L::Set1(beta.At(sweep, sweeps));
     for (int i = 0; i < n; ++i) {
-      const V spin = L::LoadSpins(s + W * i);
+      const V spin = L::Load(s + W * i);
       // change = -2 s_i; delta = change * field[i], as in the scalar loop.
       const V change = L::Mul(minus_two, spin);
       const V delta = L::Mul(change, L::Load(field + W * i));
+      // Every lane's next -ln u, gathered before its delta is known;
+      // only the uphill lanes' are used.
+      const V t = L::Gather(neg_log, next);
       // The decision runs without a branch on the lanes' outcomes (they
       // mispredict): lanes that are not uphill take no uniform and are
-      // masked out of both screens, and a spin that flips in no lane
+      // masked out of the verdict, and a spin that flips in no lane
       // leaves its neighbors' fields as they are.
       const M down = L::Le(delta, zero);
-      // Uphill (or NaN) live lanes take their next uniform.
+      // Uphill (or NaN) live lanes take their uniform.
       const M up = L::AndNot(down, live);
-      const V u = L::Gather(buffer, next, up);
-      next = L::Advance(next, up);
-      if (L::AnyEqual(next, buffer_end)) {
-        L::StoreI(cursor, next);
-        for (int l = 0; l < count; ++l) {
-          if (cursor[l] != int64_t{l + 1} * kLaneBufferDraws) continue;
-          rngs[l].FillUniform01(buffer + l * kLaneBufferDraws,
-                                kLaneBufferDraws);
-          cursor[l] = int64_t{l} * kLaneBufferDraws;
-        }
-        next = L::LoadI(cursor);
-      }
-      // MetropolisAccept's reject screen, then its accept screen.
+      // `LogDomainScreen`: bd = β·Δ against t, one compare each way.
       const V bd = L::Mul(b, delta);
-      const V p = L::Add(
-          one,
-          L::Mul(bd, L::Add(one, L::Mul(bd, L::Add(half, L::Mul(bd, sixth))))));
-      const M reject = L::Ge(L::Mul(u, p), reject_margin);
-      const M open = L::AndNot(reject, up);
-      const V y = L::Xor(bd, sign);
-      V l7 = L::Add(c6, L::Mul(y, c7));
-      l7 = L::Add(c5, L::Mul(y, l7));
-      l7 = L::Add(c4, L::Mul(y, l7));
-      l7 = L::Add(sixth, L::Mul(y, l7));
-      l7 = L::Add(half, L::Mul(y, l7));
-      l7 = L::Add(one, L::Mul(y, l7));
-      l7 = L::Add(one, L::Mul(y, l7));
-      const M sure =
-          L::And(L::Le(bd, two), L::Lt(u, L::Mul(l7, accept_margin)));
-      M accept = L::Or(L::And(down, live), L::And(open, sure));
-      const uint32_t unsettled = L::Bits(L::AndNot(sure, open));
+      const M sure_accept = L::Lt(bd, L::Add(t, minus_margin));
+      const M sure_reject = L::Lt(L::Add(t, margin), bd);
+      M accept = L::Or(L::And(down, live), L::And(up, sure_accept));
+      const uint32_t unsettled =
+          L::Bits(L::AndNot(L::Or(sure_accept, sure_reject), up));
       if (unsettled != 0) {
-        L::Store(lane_u, u);
+        // Practically never: the exact test on the lane's own uniform.
+        L::StoreI(cursor, next);
         L::Store(lane_bd, bd);
         uint32_t exp_accepts = 0;
         for (int l = 0; l < W; ++l) {
-          if ((unsettled >> l & 1) && lane_u[l] < std::exp(-lane_bd[l])) {
+          if ((unsettled >> l & 1) &&
+              buffer[cursor[l]] < std::exp(-lane_bd[l])) {
             exp_accepts |= 1u << l;
           }
         }
         accept = L::Or(accept, L::FromBits(exp_accepts));
       }
-      FlipLaneSpins<W>(s + W * i, L::Bits(accept));
+      // s + (-2s) = -s exactly.
+      L::Store(s + W * i, L::MaskedAdd(spin, accept, change));
       for (int32_t e = offsets[i]; e < offsets[i + 1]; ++e) {
         double* f_j = field + W * ids[e];
         L::Store(f_j, L::MaskedAdd(L::Load(f_j), accept,
                                    L::Mul(L::Set1(weights[e]), change)));
+      }
+      next = L::Advance(next, up);
+      if (L::AnyEqual(next, buffer_end)) {
+        L::StoreI(cursor, next);
+        for (int l = 0; l < count; ++l) {
+          if (cursor[l] != int64_t{l + 1} * kLaneBufferDraws) continue;
+          refill(l);
+          cursor[l] = int64_t{l} * kLaneBufferDraws;
+        }
+        next = L::LoadI(cursor);
       }
     }
   }
 
   for (int i = 0; i < n; ++i) {
     for (int l = 0; l < count; ++l) {
-      spins[l][static_cast<size_t>(i)] = s[W * i + l];
+      spins[l][static_cast<size_t>(i)] = static_cast<int8_t>(s[W * i + l]);
     }
   }
 }

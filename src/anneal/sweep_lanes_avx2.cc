@@ -45,7 +45,6 @@ struct Avx2Lanes {
   static void Store(double* p, V v) { _mm256_store_pd(p, v); }
   static V Add(V a, V b) { return _mm256_add_pd(a, b); }
   static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
-  static V Xor(V a, V b) { return _mm256_xor_pd(a, b); }
   /// The step masked to +0.0 in the other lanes: a vector add has no mask.
   static V MaskedAdd(V f, M m, V step) {
     return _mm256_add_pd(f, _mm256_and_pd(step, m));
@@ -53,7 +52,6 @@ struct Avx2Lanes {
 
   static M Le(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
   static M Lt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
-  static M Ge(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
   static M And(M a, M b) { return _mm256_and_pd(a, b); }
   static M Or(M a, M b) { return _mm256_or_pd(a, b); }
   static M AndNot(M a, M b) { return _mm256_andnot_pd(a, b); }
@@ -67,14 +65,8 @@ struct Avx2Lanes {
     return _mm256_castsi256_pd(_mm256_cmpeq_epi64(set, lane_bit));
   }
 
-  static V LoadSpins(const int8_t* s) {
-    int32_t packed;
-    std::memcpy(&packed, s, sizeof(packed));
-    return _mm256_cvtepi32_pd(_mm_cvtepi8_epi32(_mm_cvtsi32_si128(packed)));
-  }
-
-  static V Gather(const double* base, I index, M m) {
-    return _mm256_mask_i64gather_pd(_mm256_setzero_pd(), base, index, m, 8);
+  static V Gather(const double* base, I index) {
+    return _mm256_i64gather_pd(base, index, 8);
   }
   /// A mask lane is -1 as an int64, so subtracting it adds one.
   static I Advance(I index, M m) {
@@ -93,6 +85,10 @@ struct Avx2Lanes {
 };
 
 }  // namespace
+
+void NegLogAvx2(const double* u, int count, double* t) {
+  NegLogUniforms<kAvx2Lanes>(u, count, t);
+}
 
 void LaneSweepsAvx2(const qubo::IsingView& ising, const Schedule& beta,
                     int sweeps, int count, Rng* rngs,

@@ -47,35 +47,23 @@ struct Avx512Lanes {
   static void Store(double* p, V v) { _mm512_store_pd(p, v); }
   static V Add(V a, V b) { return _mm512_add_pd(a, b); }
   static V Mul(V a, V b) { return _mm512_mul_pd(a, b); }
-  /// Through the integer domain: a double XOR needs AVX-512DQ.
-  static V Xor(V a, V b) {
-    return _mm512_castsi512_pd(
-        _mm512_xor_si512(_mm512_castpd_si512(a), _mm512_castpd_si512(b)));
-  }
   static V MaskedAdd(V f, M m, V step) {
     return _mm512_mask_add_pd(f, m, f, step);
   }
 
   static M Le(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
   static M Lt(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
-  static M Ge(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ); }
   static M And(M a, M b) { return static_cast<M>(a & b); }
   static M Or(M a, M b) { return static_cast<M>(a | b); }
   static M AndNot(M a, M b) { return static_cast<M>(~a & b); }
   static uint32_t Bits(M m) { return m; }
   static M FromBits(uint32_t bits) { return static_cast<M>(bits); }
 
-  /// The zero-masked convert with every lane set is the plain convert;
-  /// GCC 12 warns (-Wmaybe-uninitialized) on the unmasked intrinsic.
-  static V LoadSpins(const int8_t* s) {
-    return _mm512_maskz_cvtepi32_pd(
-        static_cast<M>(0xFF),
-        _mm256_cvtepi8_epi32(
-            _mm_loadl_epi64(reinterpret_cast<const __m128i*>(s))));
-  }
-
-  static V Gather(const double* base, I index, M m) {
-    return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), m, index, base, 8);
+  /// The masked gather with every lane set is the plain gather; GCC 12
+  /// warns (-Wmaybe-uninitialized) on the unmasked intrinsic.
+  static V Gather(const double* base, I index) {
+    return _mm512_mask_i64gather_pd(_mm512_setzero_pd(), static_cast<M>(0xFF),
+                                    index, base, 8);
   }
   static I Advance(I index, M m) {
     return _mm512_mask_add_epi64(index, m, index, _mm512_set1_epi64(1));
@@ -86,6 +74,10 @@ struct Avx512Lanes {
 };
 
 }  // namespace
+
+void NegLogAvx512(const double* u, int count, double* t) {
+  NegLogUniforms<kAvx512Lanes>(u, count, t);
+}
 
 void LaneSweepsAvx512(const qubo::IsingView& ising, const Schedule& beta,
                       int sweeps, int count, Rng* rngs,

@@ -1,13 +1,15 @@
 // Tests for the sweep layer: the screened exact Metropolis test, the
-// frozen SA and SQA streams against naive reference loops, the
-// initialization stream, and the AVX2 and AVX-512 lanes against the
-// scalar loop, spin for spin, for full and partial groups.
+// lanes' log-domain verdict and their buffered -ln u, the frozen SA and
+// SQA streams against naive reference loops, the initialization stream,
+// and the AVX2 and AVX-512 lanes against the scalar loop, spin for spin,
+// for full and partial groups.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 #include <vector>
@@ -134,6 +136,72 @@ TEST(MetropolisAcceptTest, SureAcceptBoundStaysBelowExp) {
   // within 4% of e^{-2}, near 0 within 1e-11.
   EXPECT_GT(SureAcceptBound(2.0), 0.96 * std::exp(-2.0));
   EXPECT_GT(SureAcceptBound(1e-6), std::exp(-1e-6) - 1e-11);
+}
+
+// --------------------------------------------------------------------
+// LogDomainAccept: the lanes' verdict on t = -ln u
+// --------------------------------------------------------------------
+
+/// t as close to -ln u as a double gets, and the two ends of what the
+/// lanes' buffer may hold (`kNegLogError` either side).
+std::vector<double> BufferedNegLogs(double u) {
+  const long double exact = -logl(static_cast<long double>(u));
+  return {static_cast<double>(exact),
+          static_cast<double>(exact - static_cast<long double>(kNegLogError)),
+          static_cast<double>(exact + static_cast<long double>(kNegLogError))};
+}
+
+TEST(LogDomainAcceptTest, EqualsExactTestAroundTheBand) {
+  // bd a few ulps either side of t, at the band's edges t ± 1e-12 and
+  // just inside and outside them, and at 0, +inf and NaN: for every t
+  // the buffer may hold, the verdict equals `u < std::exp(-bd)`.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> us = {0x1.0p-64, 0x1.0p-53, 0x1.0p-30, 0.125,
+                            0x1.6a09e667f3bcdp-1, 0.5, 0.9,
+                            std::nextafter(1.0, 0.0)};
+  Rng rng(83);
+  for (int k = 0; k < 20000; ++k) us.push_back(UnitUniform(rng.Next()));
+  int64_t checked = 0;
+  int64_t accepts = 0;
+  for (double u : us) {
+    for (double t : BufferedNegLogs(u)) {
+      std::vector<double> bds = {0.0, -0.0, kInf, kNan};
+      for (double edge : {t, t - kLogDomainMargin, t + kLogDomainMargin}) {
+        double down = edge;
+        double up = edge;
+        for (int ulp = 0; ulp <= 4; ++ulp) {
+          bds.push_back(down);
+          bds.push_back(up);
+          down = std::nextafter(down, -kInf);
+          up = std::nextafter(up, kInf);
+        }
+      }
+      for (double bd : bds) {
+        const bool exact = u < std::exp(-bd);
+        EXPECT_EQ(LogDomainAccept(u, t, bd), exact)
+            << "u = " << u << ", t = " << t << ", bd = " << bd;
+        ++checked;
+        accepts += exact;
+      }
+    }
+  }
+  // Both outcomes occur in bulk, so the comparison is not vacuous.
+  EXPECT_GT(accepts, checked / 4);
+  EXPECT_LT(accepts, checked * 3 / 4);
+}
+
+TEST(LogDomainAcceptTest, ZeroUniformAndNanLeaveItToTheExactTest) {
+  // u = 0 is buffered as t = NaN: the screen settles nothing, and the
+  // exact test accepts while exp(-bd) is nonzero. A NaN bd rejects.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (double bd : {0.0, 1.0, 44.0, 700.0, 745.0, 746.0, kInf, kNan}) {
+    EXPECT_EQ(LogDomainScreen(kNan, bd), 0) << "bd = " << bd;
+    EXPECT_EQ(LogDomainAccept(0.0, kNan, bd), 0.0 < std::exp(-bd))
+        << "bd = " << bd;
+  }
+  EXPECT_FALSE(LogDomainAccept(0.5, std::log(2.0), kNan));
 }
 
 /// The SA sweep as it read before the screen: ascending spin order,
@@ -602,6 +670,115 @@ TEST_P(LaneSweepsTest, SignedZerosInfAndNanEqualScalar) {
   }
 }
 
+TEST_P(LaneSweepsTest, NegLogStaysWithinItsBound) {
+  // The lanes' buffered t against -logl(u) (64-bit mantissa on x86-64):
+  // a million uniforms, log-uniform over [2⁻⁶⁴, 1) and from the stream,
+  // plus the edges of the range reduction. u = 0 must give NaN.
+  const double kSqrtHalf = 0x1.6a09e667f3bcdp-1;
+  std::vector<double> us = {0x1.0p-64, 0x1.0p-53, std::nextafter(1.0, 0.0),
+                            kSqrtHalf, std::nextafter(kSqrtHalf, 0.0),
+                            std::nextafter(kSqrtHalf, 1.0)};
+  for (int e = 1; e <= 64; ++e) {
+    const double power = std::ldexp(1.0, -e);
+    // A power of two, its neighbours, and the reduction's split (√2's
+    // mantissa) at that exponent.
+    for (double u : {power, std::nextafter(power, 0.0),
+                     std::nextafter(power, 1.0), std::ldexp(kSqrtHalf, 1 - e),
+                     std::nextafter(std::ldexp(kSqrtHalf, 1 - e), 0.0)}) {
+      if (u >= 0x1.0p-64 && u < 1.0) us.push_back(u);
+    }
+  }
+  Rng rng(89);
+  while (us.size() < 1'100'000) {
+    us.push_back(std::exp2(-64.0 * UnitUniform(rng.Next())));
+    us.push_back(UnitUniform(rng.Next()));
+  }
+  for (double& u : us) u = std::min(std::max(u, 0x1.0p-64), 0x1.fffffffffffffp-1);
+  us.push_back(0.0);
+  while (us.size() % static_cast<size_t>(width_) != 0) us.push_back(0.5);
+  std::vector<double> t(us.size());
+  LaneNegLog(width_, us.data(), static_cast<int>(us.size()), t.data());
+  long double worst = 0.0L;
+  for (size_t k = 0; k < us.size(); ++k) {
+    if (us[k] == 0.0) {
+      EXPECT_TRUE(std::isnan(t[k])) << "u = 0 gave " << t[k];
+      continue;
+    }
+    const long double error =
+        std::fabs(static_cast<long double>(t[k]) +
+                  logl(static_cast<long double>(us[k])));
+    worst = std::max(worst, error);
+    EXPECT_LE(error, static_cast<long double>(kNegLogError))
+        << "u = " << us[k] << ", t = " << t[k];
+  }
+  EXPECT_GT(worst, 0.0L);  // not compared against itself
+}
+
+TEST_P(LaneSweepsTest, VerdictLeavesAlmostNoProposalToExp) {
+  // A replica of the scalar loop on a gauged paper-class problem that
+  // decides each uphill proposal by the lanes' verdict, on t from this
+  // width's buffer code: the same spins as `RunSweeps`, and (the screen's
+  // band being 2e-12 wide) fewer than one proposal in a million reaches
+  // `std::exp`.
+  qubo::IsingProblem paper = GaugedPaperProblem();
+  const qubo::IsingView view(paper);
+  auto [hot, cold] = SuggestBetaRange(view);
+  const Schedule beta{hot, cold, ScheduleShape::kGeometric};
+  const int n = view.num_spins();
+  constexpr int kSweeps = 256;
+  int64_t uphill = 0;
+  int64_t to_exp = 0;
+  std::vector<double> u(static_cast<size_t>(width_));
+  std::vector<double> t(static_cast<size_t>(width_));
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    std::vector<int8_t> spins(static_cast<size_t>(n));
+    RandomSpins(&rng, &spins);
+    Rng scalar_rng = rng;
+    std::vector<int8_t> scalar_spins = spins;
+    std::vector<double> field(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      double f = view.fields[i];
+      for (int32_t e = view.csr.row_offsets[i];
+           e < view.csr.row_offsets[i + 1]; ++e) {
+        f += view.csr.weights[e] *
+             static_cast<double>(spins[static_cast<size_t>(
+                 view.csr.neighbor_ids[e])]);
+      }
+      field[static_cast<size_t>(i)] = f;
+    }
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
+      const double b = beta.At(sweep, kSweeps);
+      for (int i = 0; i < n; ++i) {
+        const double s_i = static_cast<double>(spins[static_cast<size_t>(i)]);
+        const double delta = -2.0 * s_i * field[static_cast<size_t>(i)];
+        bool flip = delta <= 0.0;
+        if (!flip) {
+          u[0] = rng.UniformReal(0.0, 1.0);
+          LaneNegLog(width_, u.data(), width_, t.data());
+          ++uphill;
+          to_exp += LogDomainScreen(t[0], b * delta) == 0;
+          flip = LogDomainAccept(u[0], t[0], b * delta);
+        }
+        if (flip) {
+          spins[static_cast<size_t>(i)] = static_cast<int8_t>(-s_i);
+          for (int32_t e = view.csr.row_offsets[i];
+               e < view.csr.row_offsets[i + 1]; ++e) {
+            field[static_cast<size_t>(view.csr.neighbor_ids[e])] +=
+                view.csr.weights[e] * (-2.0 * s_i);
+          }
+        }
+      }
+    }
+    RunSweeps(view, beta, kSweeps, &scalar_rng, &scalar_spins);
+    EXPECT_EQ(spins, scalar_spins) << "seed " << seed;
+  }
+  std::printf("%lld uphill proposals, %lld reached std::exp\n",
+              static_cast<long long>(uphill), static_cast<long long>(to_exp));
+  ASSERT_GT(uphill, 100'000);
+  EXPECT_LT(static_cast<double>(to_exp), 1e-6 * static_cast<double>(uphill));
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, LaneSweepsTest,
                          ::testing::Values(kAvx2Lanes, kAvx512Lanes),
                          [](const ::testing::TestParamInfo<int>& info) {
@@ -611,13 +788,16 @@ INSTANTIATE_TEST_SUITE_P(Widths, LaneSweepsTest,
 TEST(RunSweepGroupTest, SplitsIntoMaskedGroupsLikeScalar) {
   // Through the dispatch, at this CPU's width: full groups, a partial
   // last group, and counts above one group all equal the scalar loop.
+  // Every count 1..12 runs, so each width ends in every partial group.
   Rng build_rng(79);
   qubo::IsingProblem glass = ChimeraGlass(4, 4, &build_rng);
   const qubo::IsingView view(glass);
   auto [hot, cold] = SuggestBetaRange(view);
   const Schedule beta{hot, cold, ScheduleShape::kGeometric};
   const int width = SweepGroupWidth();
-  for (int count : {1, 3, width, width + 3, 2 * width}) {
+  std::vector<int> counts = {2 * width};
+  for (int count = 1; count <= 12; ++count) counts.push_back(count);
+  for (int count : counts) {
     std::vector<Rng> group_rngs;
     std::vector<std::vector<int8_t>> group_spins;
     for (int k = 0; k < count; ++k) {
